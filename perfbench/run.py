@@ -11,7 +11,8 @@ Builds the benchmark harness (the package in this directory) and the
 `.bench_build`), then runs the harness.  Build output goes to standard
 error; the harness prints every metric by name and, as its last line, one
 JSON object.  The exit code is the harness's: non-zero on any verdict that
-differs from its known answer.  `--workload all` runs the three workloads
+differs from its known answer.  Timed runs (`--trace 0`) keep the harness
+and the daemon it starts on one CPU.  `--workload all` runs the three workloads
 one after another and ends with one JSON object whose metric names are
 prefixed with the workload name.
 """
@@ -24,13 +25,25 @@ import sys
 WORKLOADS = ["table1-cold", "table1-warm", "serve-mixed"]
 
 
-def run_all(command, workload_at, root):
+def pin_to_one_cpu():
+    """Keeps the calling process, and every process it starts, on one CPU.
+
+    Timed runs verify one module at a time, so one CPU is all they use.  On
+    a shared 2-vCPU host, a reply that wakes the other, idle vCPU waits
+    until the host runs that vCPU again: unpinned, `serve-mixed` lost a
+    third of its throughput in some runs while its CPU time per module
+    stayed within 10%.
+    """
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+
+
+def run_all(command, workload_at, root, pin):
     """Runs every workload in turn; merges their result lines."""
     merged = {"correct": True, "attempted": 0, "failed": 0, "metrics": {}}
     code = 0
     for workload in WORKLOADS:
         command[workload_at] = workload
-        run = subprocess.run(command, cwd=root, stdout=subprocess.PIPE, text=True)
+        run = subprocess.run(command, cwd=root, stdout=subprocess.PIPE, text=True, preexec_fn=pin)
         print(run.stdout, end="", flush=True)
         code = code or run.returncode
         lines = run.stdout.strip().splitlines()
@@ -72,11 +85,13 @@ def main():
     ipl = os.path.join(target, "release", "ipl")
     work = os.path.join(root, ".bench_work")
     command = [harness] + sys.argv[1:] + ["--ipl-bin", ipl, "--work-dir", os.path.relpath(work, root)]
+    traced = "--trace" in command and command[command.index("--trace") + 1:][:1] != ["0"]
+    pin = None if traced else pin_to_one_cpu
     if "--workload" in command[:-4]:
         workload_at = command.index("--workload") + 1
         if workload_at < len(command) and command[workload_at] == "all":
-            return run_all(command, workload_at, root)
-    return subprocess.run(command, cwd=root).returncode
+            return run_all(command, workload_at, root, pin)
+    return subprocess.run(command, cwd=root, preexec_fn=pin).returncode
 
 
 if __name__ == "__main__":

@@ -45,8 +45,15 @@ pub fn median(values: &[f64]) -> f64 {
     quantile(&sorted, 0.5)
 }
 
-/// The highest percentile (at most the 99th) of a latency sample that
-/// still has at least ten samples beyond it.
+/// The highest percentile of the tail.  Requests on `table1-warm` take
+/// 1 to 5 ms, and a shared 2-vCPU host takes a vCPU away for about 10 ms at
+/// a time, often enough to delay about 1% of them: their p99 read the host's
+/// scheduler and jumped from 5 to 15 ms between runs, while the p97 stayed
+/// with the slowest Table 1 rows.
+pub const TAIL_PERCENTILE: u32 = 97;
+
+/// The highest percentile (at most [`TAIL_PERCENTILE`]) of a latency
+/// sample that still has at least ten samples beyond it.
 #[derive(Debug, Clone, Copy)]
 pub struct Tail {
     pub tail: f64,
@@ -58,7 +65,7 @@ pub fn tail(latencies_ms: &[f64]) -> Tail {
     let mut sorted = latencies_ms.to_vec();
     sorted.sort_by(f64::total_cmp);
     let n = sorted.len();
-    let mut percentile = 99;
+    let mut percentile = TAIL_PERCENTILE;
     while percentile > 50 && (n as f64) * (1.0 - f64::from(percentile) / 100.0) < 10.0 {
         percentile -= 1;
     }
@@ -101,10 +108,16 @@ pub fn peak_rss_mb(pid: &str) -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
-/// Blocks the timed phase is cut into; the rate, CPU and median figures
-/// are medians over blocks, so a burst of load from outside the benchmark
-/// that hits one block moves them little.
-pub const BLOCKS: u32 = 10;
+/// Blocks the timed phase is cut into.  The p50, rate and CPU figures are
+/// medians over blocks, so a burst of load from outside the benchmark that
+/// hits a few blocks moves them little.
+pub const BLOCKS: u32 = 15;
+
+/// Consecutive blocks that form one tail window.  The tail is the median
+/// over windows of each window's tail: a window holds enough requests for
+/// a high percentile (at 35 s, at least 300 on every workload), and the
+/// median keeps a burst of load in one window out of it.
+pub const TAIL_WINDOW: usize = 3;
 
 /// The end-to-end figures of one timed run.
 #[derive(Debug, Default)]
@@ -132,9 +145,8 @@ impl EndToEnd {
     /// Prints every end-to-end metric by name with its unit and returns
     /// them in the order of `BENCHMARK.json`.
     pub fn metrics(&self, attempted: usize, failed: usize) -> Metrics {
-        let latencies: Vec<f64> = self.samples.iter().map(|(_, l)| *l).collect();
-        let tail = tail(&latencies);
         let (mut p50s, mut rates, mut cpus) = (Vec::new(), Vec::new(), Vec::new());
+        let mut blocks = Vec::new();
         for pair in self.cpu_marks.windows(2) {
             let ((t0, c0), (t1, c1)) = (pair[0], pair[1]);
             let block: Vec<f64> = self
@@ -149,7 +161,13 @@ impl EndToEnd {
             p50s.push(median(&block));
             rates.push(block.len() as f64 / (t1 - t0).as_secs_f64());
             cpus.push(ms(c1.saturating_sub(c0)) / block.len() as f64);
+            blocks.push(block);
         }
+        let windows: Vec<Tail> = blocks
+            .chunks(TAIL_WINDOW)
+            .map(|window| tail(&window.concat()))
+            .collect();
+        let tails: Vec<f64> = windows.iter().map(|w| w.tail).collect();
         let show = |values: &[f64]| {
             values
                 .iter()
@@ -158,15 +176,32 @@ impl EndToEnd {
                 .join(" ")
         };
         println!("blocks: p50_ms [{}]", show(&p50s));
+        println!("windows: tail_ms [{}]", show(&tails));
         println!("blocks: modules_per_s [{}]", show(&rates));
         println!("blocks: cpu_ms_per_module [{}]", show(&cpus));
         let setup: Vec<f64> = self.setup.iter().map(Duration::as_secs_f64).collect();
         let error_rate = failed as f64 / attempted.max(1) as f64;
+        let percentiles: Vec<String> = windows
+            .iter()
+            .map(|w| format!("p{} of {}", w.percentile, w.samples))
+            .collect();
         println!(
-            "latency: {} samples in {} blocks; p{} is the highest percentile with at least ten samples beyond it",
-            tail.samples,
+            "latency: {} samples in {} blocks and {} tail windows; each window's tail is its highest percentile with at least ten samples beyond it: {}",
+            self.samples.len(),
             p50s.len(),
-            tail.percentile
+            windows.len(),
+            percentiles.join(", ")
+        );
+        let mut all: Vec<f64> = self.samples.iter().map(|(_, l)| *l).collect();
+        all.sort_by(f64::total_cmp);
+        println!(
+            "latency over the run: p90 {:.2} p95 {:.2} p97 {:.2} p98 {:.2} p99 {:.2} p99.9 {:.2} ms",
+            quantile(&all, 0.90),
+            quantile(&all, 0.95),
+            quantile(&all, 0.97),
+            quantile(&all, 0.98),
+            quantile(&all, 0.99),
+            quantile(&all, 0.999)
         );
         println!(
             "error_rate = {error_rate} ({failed} failed of {attempted} attempted); reported as success_ratio = 1 - error_rate"
@@ -174,7 +209,7 @@ impl EndToEnd {
         let mut metrics = Metrics::default();
         metrics.push("setup_s", median(&setup), "s");
         metrics.push("latency_p50_ms", median(&p50s), "ms");
-        metrics.push("latency_p99_ms", tail.tail, "ms");
+        metrics.push("latency_p97_ms", median(&tails), "ms");
         metrics.push("throughput_modules_per_s", median(&rates), "1/s");
         metrics.push("cpu_ms_per_module", median(&cpus), "ms");
         metrics.push("peak_rss_mb", self.peak_rss_mb, "MiB");
@@ -190,7 +225,7 @@ mod tests {
     #[test]
     fn the_tail_keeps_ten_samples_beyond_it() {
         let thousand: Vec<f64> = (1..=1000).map(f64::from).collect();
-        assert_eq!(tail(&thousand).percentile, 99);
+        assert_eq!(tail(&thousand).percentile, TAIL_PERCENTILE);
         let two_hundred: Vec<f64> = (1..=200).map(f64::from).collect();
         let small = tail(&two_hundred);
         assert_eq!(small.percentile, 95);

@@ -1,29 +1,31 @@
 //! The untraced runs that give the end-to-end metrics.
 
 use crate::gen::{permutation, verify_frame, MixedStream};
-use crate::measure::{cpu_time, peak_rss_mb, EndToEnd};
+use crate::measure::{cpu_time, peak_rss_mb, quantile, EndToEnd};
 use crate::oracle::{check_counts, check_report, Case, Class, Verdict};
 use crate::Ctx;
 use ipl::core::{ModuleReport, Request, Session, VerifyOptions};
 use ipl::provers::cache::ProofCache;
 use ipl::provers::ProverConfig;
 use ipl::suite::baseline::{parse_json, Json};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Set-ups per run; `setup_s` is their median.
-pub const SETUPS: usize = 5;
+pub const SETUPS: usize = 9;
 
-/// Worker threads per request on `table1-warm` and `serve-mixed`.  Each
-/// request with more workers spawns its threads anew, and on a loaded
-/// 2-vCPU host those wake-ups made warm and daemon latencies up to two to
-/// three times slower and far noisier than one worker; `table1-cold` keeps
-/// the default worker count and still shows that cost.
+/// Worker threads per request on every timed workload.  Each request with
+/// more workers spawns its threads anew, and on a loaded 2-vCPU host those
+/// wake-ups made latencies up to two to three times slower and far noisier
+/// than one worker.  `serve-mixed` has one connection for the same reason:
+/// with two, the daemon verified two modules at once on both vCPUs, and
+/// whenever the host held one back throughput fell by up to a third while
+/// CPU time per module stayed within 10%.  The traced run still measures
+/// the default worker count, as `core.parallel_efficiency`.
 pub const JOBS: usize = 1;
 
 /// Verdict bookkeeping shared by every run.
@@ -67,25 +69,16 @@ impl Checker {
     pub fn correct(&self) -> bool {
         self.wrong.is_none() && self.unsound.is_none()
     }
-
-    pub fn merge(&mut self, other: Checker) {
-        self.attempted += other.attempted;
-        self.failed += other.failed;
-        if let Some(why) = other.wrong {
-            self.wrong.get_or_insert(why);
-        }
-        if let Some(why) = other.unsound {
-            self.unsound.get_or_insert(why);
-        }
-    }
 }
 
-/// The cache-off configuration of `table1-cold`.
+/// The cache-off configuration of `table1-cold`, at [`JOBS`] workers.
 pub fn cold_options() -> VerifyOptions {
-    VerifyOptions::default().with_config(ProverConfig {
-        use_cache: false,
-        ..ProverConfig::default()
-    })
+    VerifyOptions::default()
+        .with_config(ProverConfig {
+            use_cache: false,
+            ..ProverConfig::default()
+        })
+        .with_jobs(JOBS)
 }
 
 /// Non-trivial sequents of a report.
@@ -146,16 +139,39 @@ fn timed_loop(
     let deadline = start + ctx.seconds;
     run.mark(Duration::ZERO, ctx.seconds, || cpu_time("self"));
     let mut next = 0;
+    let mut per_row = BTreeMap::new();
     while Instant::now() < deadline {
         let case = &cases[order[next % order.len()]];
         next += 1;
         let latency = verify_checked(session, case, all_cached, checker);
+        per_row
+            .entry(case.row)
+            .or_insert_with(Vec::new)
+            .push(latency);
         let now = start.elapsed();
         run.samples.push((now, latency));
         run.mark(now, ctx.seconds, || cpu_time("self"));
         if checker.unsound.is_some() {
             break;
         }
+    }
+    print_rows(&per_row);
+}
+
+/// Prints the latency spread of each kind of request.  The p50 of a Table 1
+/// round-robin lies between the fourth and fifth fastest row, and a tail
+/// in the slowest row.
+fn print_rows<K: std::fmt::Display>(per_row: &BTreeMap<K, Vec<f64>>) {
+    for (row, latencies) in per_row {
+        let mut sorted = latencies.clone();
+        sorted.sort_by(f64::total_cmp);
+        println!(
+            "row {row}: {} requests, p10 {:.2} p50 {:.2} p90 {:.2} ms",
+            sorted.len(),
+            quantile(&sorted, 0.1),
+            quantile(&sorted, 0.5),
+            quantile(&sorted, 0.9),
+        );
     }
 }
 
@@ -366,18 +382,14 @@ pub fn check_frame(case: &Case, reply: &str, checker: &mut Checker) -> FrameFact
     facts
 }
 
-/// What one client connection measured: its verdicts, its (completion
-/// time, latency) samples and its requests per class.
-type ClientResult = (Checker, Vec<(Duration, f64)>, [usize; 3]);
-
-/// The serve-mixed request stream shared by the client connections.
-struct Shared {
-    stream: MixedStream,
-    next_id: usize,
-}
+/// Timed `serve-mixed` requests after which the daemon's peak RSS is read.
+/// Every renamed module grows the process-global tables, so a reading at
+/// the end of the run would grow with throughput; this one compares the
+/// same stream on every run.
+pub const RSS_AFTER: usize = 1500;
 
 /// `serve-mixed`: the release `ipl serve` binary on a Unix socket, driven
-/// by two closed-loop connections.
+/// by one closed-loop connection.
 pub fn serve_mixed(
     ctx: &Ctx,
     table1: &[Case],
@@ -402,69 +414,42 @@ pub fn serve_mixed(
     }
     let daemon = daemon.expect("at least one set-up");
     let pid = daemon.pid();
-
-    let shared = Mutex::new(Shared {
-        stream: MixedStream::new(ctx.seed, table1, wrong),
-        next_id: 1000,
-    });
-    let stop = AtomicBool::new(false);
+    let mut connection = daemon.connect()?;
+    let mut stream = MixedStream::new(ctx.seed, table1, wrong);
+    let mut per_row = BTreeMap::new();
+    let mut classes = [0usize; 3];
+    let mut peak_rss = None;
     checker.start_timing();
     let start = Instant::now();
     let deadline = start + ctx.seconds;
     run.mark(Duration::ZERO, ctx.seconds, || cpu_time(&pid));
-    let results: Vec<Result<ClientResult, String>> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let connection = daemon.connect();
-                let (shared, stop) = (&shared, &stop);
-                scope.spawn(move || {
-                    let mut connection = connection?;
-                    let mut checker = Checker::default();
-                    let mut latencies = Vec::new();
-                    let mut classes = [0usize; 3];
-                    while Instant::now() < deadline && !stop.load(Ordering::Relaxed) {
-                        let (id, case) = {
-                            let mut shared = shared.lock().expect("stream lock");
-                            shared.next_id += 1;
-                            (shared.next_id, shared.stream.next_case())
-                        };
-                        let frame = verify_frame(id, &case, None);
-                        let sent = Instant::now();
-                        let reply = connection.call(&frame)?;
-                        latencies.push((start.elapsed(), crate::measure::ms(sent.elapsed())));
-                        check_frame(&case, &reply, &mut checker);
-                        classes[case.class as usize] += 1;
-                        if checker.unsound.is_some() {
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                    }
-                    Ok((checker, latencies, classes))
-                })
-            })
-            .collect();
-        // CPU marks of the daemon at each block boundary.
-        for k in 1..=crate::measure::BLOCKS {
-            let boundary = start + ctx.seconds * k / crate::measure::BLOCKS;
-            std::thread::sleep(boundary.saturating_duration_since(Instant::now()));
-            run.mark(start.elapsed(), ctx.seconds, || cpu_time(&pid));
+    let mut sent_count = 0;
+    while Instant::now() < deadline && checker.unsound.is_none() {
+        let case = stream.next_case();
+        let frame = verify_frame(1000 + sent_count, &case, None);
+        sent_count += 1;
+        let sent = Instant::now();
+        let reply = connection.call(&frame)?;
+        let latency = crate::measure::ms(sent.elapsed());
+        if sent_count == RSS_AFTER {
+            peak_rss = Some(peak_rss_mb(&pid));
         }
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("client thread panicked"))
-            .collect()
-    });
-    run.peak_rss_mb = peak_rss_mb(&pid);
-    daemon.shutdown();
-
-    let mut classes = [0usize; 3];
-    for result in results {
-        let (part, latencies, counts) = result?;
-        checker.merge(part);
-        run.samples.extend(latencies);
-        for (total, n) in classes.iter_mut().zip(counts) {
-            *total += n;
-        }
+        let now = start.elapsed();
+        run.samples.push((now, latency));
+        run.mark(now, ctx.seconds, || cpu_time(&pid));
+        per_row
+            .entry(format!("{:?} {}", case.class, case.row))
+            .or_insert_with(Vec::new)
+            .push(latency);
+        check_frame(&case, &reply, checker);
+        classes[case.class as usize] += 1;
     }
+    run.peak_rss_mb = peak_rss.unwrap_or_else(|| {
+        println!("peak RSS read at the end: fewer than {RSS_AFTER} timed requests");
+        peak_rss_mb(&pid)
+    });
+    daemon.shutdown();
+    print_rows(&per_row);
     print_shares(&classes);
     Ok(run)
 }

@@ -707,6 +707,7 @@ fn trace_table1(
     checker: &mut Checker,
 ) -> Result<Layers, String> {
     let mut layers = Layers::default();
+    let default_jobs = VerifyOptions::default().jobs;
     let order = permutation(ctx.seed, table1.len());
     checker.start_timing();
     let deadline = Instant::now() + ctx.seconds;
@@ -730,18 +731,18 @@ fn trace_table1(
             layers.reference(&run, tracer, reference, &response.report, ground, checker);
             layers.repeat(index, &run.counts, checker);
 
-            // The same request at the session's own worker count, for the
+            // The same request at the default worker count, for the
             // parallel efficiency; its outcomes must not change.
             let start = Instant::now();
             let parallel = session
-                .verify(&Request::new(case.source.clone()))
+                .verify(&Request::new(case.source.clone()).with_jobs(default_jobs))
                 .map_err(|e| e.to_string())?;
             layers
                 .efficiency
                 .push(efficiency(&parallel.report, start.elapsed()));
             if parallel.report.normalized() != response.report.normalized() {
                 checker.fail_check(format!(
-                    "{}: jobs = 1 and the session's worker count differ",
+                    "{}: jobs = 1 and the default worker count differ",
                     case.row
                 ));
             }
