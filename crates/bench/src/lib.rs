@@ -8,8 +8,9 @@
 //! * `benches/ablations.rs` — ablations over the design choices called out in
 //!   DESIGN.md: assumption-base control (`from` clauses) and instantiation
 //!   budgets;
-//! * `benches/provers.rs` — micro-benchmarks of the individual reasoners
-//!   (ground SMT-lite, quantifier instantiation, BAPA, shape).
+//! * `benches/provers.rs` — micro-benchmarks of the cascade on one query per
+//!   reasoner (ground SMT-lite, quantifier instantiation, and the BAPA and
+//!   shape theories, which run inside the ground stage).
 //!
 //! Each table bench prints the full regenerated table once, then measures a
 //! representative verification run so Criterion has a stable quantity to

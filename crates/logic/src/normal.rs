@@ -55,7 +55,7 @@ pub fn contains_old(form: &Form) -> bool {
 ///
 /// The environment is used to determine element sorts for extensionality
 /// expansion of `subseteq` and set equality.  Cardinality (`card`) terms are
-/// left untouched — they are handled by the BAPA prover.
+/// left untouched — the BAPA theory of the ground solver handles them.
 pub fn expand_sets(form: &Form, env: &SortEnv) -> Form {
     let mut fresh = FreshNames::new();
     fresh.reserve_all(form);

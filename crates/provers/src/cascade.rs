@@ -1,10 +1,15 @@
 //! The prover cascade: the integrated-reasoning dispatcher.
 //!
 //! Each sequent is handed to a sequence of reasoning systems in increasing
-//! order of cost, each with its own budget and wall-clock timeout, exactly as
-//! Jahob runs SPASS/E/CVC3/Z3/MONA/BAPA in turn.  The first prover that
-//! succeeds wins; if all fail the sequent is reported unproved (in the paper
-//! this is the signal for the developer to add proof-language guidance).
+//! order of cost, each with its own budget and wall-clock timeout, as Jahob
+//! runs SPASS/E/CVC3/Z3/MONA/BAPA in turn.  The first prover that succeeds
+//! wins; if all fail the sequent is reported unproved (in the paper this is
+//! the signal for the developer to add proof-language guidance).
+//!
+//! The MONA and BAPA roles are not stages here: the reachability and
+//! cardinality procedures run inside the ground stage as theories of its
+//! exchange loop (see [`crate::exchange`]), so they see the congruence and
+//! arithmetic facts of each branch.
 
 use crate::cache::{Fingerprint, ProofCache};
 use crate::ground::{refute, GroundResult};
@@ -105,91 +110,6 @@ impl Prover for InstSmt {
     }
 }
 
-/// Adapter for the BAPA cardinality decision procedure.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct BapaProver;
-
-impl Prover for BapaProver {
-    fn name(&self) -> &'static str {
-        "bapa"
-    }
-
-    fn prove(&self, query: &Query, _config: &ProverConfig, cancel: &Cancel) -> Outcome {
-        // BAPA is only worth invoking when the goal involves cardinalities or
-        // set algebra; other goals are left to the general provers.
-        if !mentions_cardinality(&query.goal) {
-            return Outcome::Unknown;
-        }
-        let limits = ipl_bapa::BapaLimits {
-            deadline: cancel.deadline(),
-            ..ipl_bapa::BapaLimits::default()
-        };
-        match ipl_bapa::prove_valid(&query.assumption_forms(), &query.goal, &limits) {
-            ipl_bapa::BapaOutcome::Valid => Outcome::Proved,
-            ipl_bapa::BapaOutcome::Unknown => Outcome::Unknown,
-        }
-    }
-}
-
-fn mentions_cardinality(form: &ipl_logic::Form) -> bool {
-    let mut found = false;
-    fn rec(form: &ipl_logic::Form, found: &mut bool) {
-        if *found {
-            return;
-        }
-        if matches!(form, ipl_logic::Form::Card(_)) {
-            *found = true;
-            return;
-        }
-        form.for_each_child(|c| rec(c, found));
-    }
-    rec(form, &mut found);
-    found
-}
-
-/// Adapter for the reachability (shape) prover.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ShapeProver;
-
-impl Prover for ShapeProver {
-    fn name(&self) -> &'static str {
-        "shape"
-    }
-
-    fn prove(&self, query: &Query, _config: &ProverConfig, cancel: &Cancel) -> Outcome {
-        if cancel.is_cancelled()
-            || (!mentions_reach(&query.goal)
-                && !query.assumption_forms().iter().any(mentions_reach))
-        {
-            return Outcome::Unknown;
-        }
-        let limits = ipl_shape::ShapeLimits {
-            deadline: cancel.deadline(),
-            ..ipl_shape::ShapeLimits::default()
-        };
-        match ipl_shape::prove_valid(&query.assumption_forms(), &query.goal, &limits) {
-            ipl_shape::ShapeOutcome::Valid => Outcome::Proved,
-            ipl_shape::ShapeOutcome::Unknown => Outcome::Unknown,
-        }
-    }
-}
-
-fn mentions_reach(form: &ipl_logic::Form) -> bool {
-    let mut found = false;
-    fn rec(form: &ipl_logic::Form, found: &mut bool) {
-        if *found {
-            return;
-        }
-        if matches!(form, ipl_logic::Form::App(name, _) if name == "reach") {
-            *found = true;
-            return;
-        }
-        form.for_each_child(|c| rec(c, found));
-    }
-    rec(form, &mut found);
-    found
-}
-
 /// The cascade of provers with per-prover timeouts.
 pub struct Cascade {
     provers: Vec<Arc<dyn Prover>>,
@@ -213,17 +133,11 @@ impl Default for Cascade {
 
 impl Cascade {
     /// The standard prover order: syntactic checks, the ground SMT-lite
-    /// solver, the BAPA and shape decision procedures, and finally the
-    /// instantiating prover.
+    /// solver (with the BAPA and shape theories in its exchange loop), and
+    /// finally the instantiating prover.
     pub fn standard(config: ProverConfig) -> Cascade {
         Cascade {
-            provers: vec![
-                Arc::new(Syntactic),
-                Arc::new(GroundSmt),
-                Arc::new(BapaProver),
-                Arc::new(ShapeProver),
-                Arc::new(InstSmt),
-            ],
+            provers: vec![Arc::new(Syntactic), Arc::new(GroundSmt), Arc::new(InstSmt)],
             config,
         }
     }
@@ -556,29 +470,29 @@ mod tests {
     }
 
     #[test]
-    fn cascade_uses_bapa_for_cardinality_goals_without_exchange() {
-        // The ablation configuration falls back to the standalone BAPA stage.
-        let cascade = Cascade::standard(ProverConfig::without_exchange());
-        let answer = cascade.prove(&query(
-            &[
-                "~((i, o) in content)",
-                "newcontent = content union {(i, o)}",
-            ],
-            "card(newcontent) = card(content) + 1",
-        ));
-        assert_eq!(answer.outcome, Outcome::Proved);
-        assert_eq!(answer.prover.as_deref(), Some("bapa"));
-    }
-
-    #[test]
-    fn cascade_uses_shape_prover_for_reachability() {
+    fn reachability_goals_close_inside_the_ground_tableau() {
+        // The shape theory in the exchange closes the reachability goal
+        // inside the ground stage.
         let cascade = Cascade::default();
         let answer = cascade.prove(&query(
             &["reach(next, first, a)", "a.next = b"],
             "reach(next, first, b)",
         ));
         assert_eq!(answer.outcome, Outcome::Proved);
-        assert_eq!(answer.prover.as_deref(), Some("shape"));
+        assert_eq!(answer.prover.as_deref(), Some("smt-ground"));
+    }
+
+    #[test]
+    fn wrong_reachability_claims_stay_unknown() {
+        // `b` is a successor of a node reachable from `first`; nothing says
+        // `first` is reachable back from `b`.
+        let cascade = Cascade::standard(ProverConfig::without_cache());
+        let answer = cascade.prove(&query(
+            &["reach(next, first, a)", "a.next = b"],
+            "reach(next, b, first)",
+        ));
+        assert_eq!(answer.outcome, Outcome::Unknown);
+        assert_eq!(answer.prover, None);
     }
 
     #[test]
@@ -694,7 +608,7 @@ mod tests {
     fn prover_names_in_order() {
         assert_eq!(
             Cascade::default().prover_names(),
-            vec!["syntactic", "smt-ground", "bapa", "shape", "smt-inst"]
+            vec!["syntactic", "smt-ground", "smt-inst"]
         );
     }
 

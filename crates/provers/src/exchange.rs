@@ -18,15 +18,17 @@
 //!   branch, and the loop iterates to a fixpoint or until the budget runs
 //!   out.
 //!
-//! [`BapaExchange`] is the first theory behind the interface (the jump the
-//! paper's cardinality obligations need); the reachability prover is the
-//! natural next tenant.
+//! Two theories sit behind the interface: [`BapaExchange`], the
+//! cardinality procedure the paper's BAPA obligations need, and
+//! [`ShapeExchange`], the reachability procedure that stands in for MONA.
 
 use crate::cc::Congruence;
 use ipl_bapa::incremental::{BapaCheck, IncrementalBapa};
 use ipl_bapa::BapaLimits;
 use ipl_logic::Form;
+use ipl_shape::{ShapeLimits, ShapeOutcome};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Per-search budgets for the exchange loop, decremented as they are spent.
 #[derive(Debug, Clone, Copy)]
@@ -258,6 +260,105 @@ impl TheoryExchange for BapaExchange {
     }
 }
 
+/// The reachability procedure as a tableau theory.
+///
+/// It keeps the branch's `reach` atoms and heap equalities (field reads,
+/// field writes, variable = variable) on a scoped stack and, at a saturated
+/// leaf with a `reach` literal in scope, asks the shape saturation prover
+/// whether the stack alone is contradictory.  It exports no facts.
+#[derive(Debug)]
+pub struct ShapeExchange {
+    limits: ShapeLimits,
+    /// The branch literals in the fragment, in assertion order.
+    literals: Vec<Form>,
+    /// Length of `literals` at each open scope.
+    marks: Vec<usize>,
+}
+
+impl ShapeExchange {
+    /// Creates the theory; its saturation gives up at `deadline`.
+    pub fn new(deadline: Option<Instant>) -> Self {
+        ShapeExchange {
+            limits: ShapeLimits {
+                deadline,
+                ..ShapeLimits::default()
+            },
+            literals: Vec::new(),
+            marks: Vec::new(),
+        }
+    }
+}
+
+/// Is this atom (sign stripped) a `reach(f, x, y)` application?
+fn is_reach(atom: &Form) -> bool {
+    matches!(atom, Form::App(name, args) if name == "reach" && args.len() == 3)
+}
+
+/// Is this atom one the shape prover reads: a `reach` application or a heap
+/// equality?
+fn in_shape_fragment(atom: &Form) -> bool {
+    let heap = |t: &Form| matches!(t, Form::FieldRead(..) | Form::FieldWrite(..));
+    match atom {
+        Form::Eq(lhs, rhs) => {
+            heap(lhs) || heap(rhs) || matches!((&**lhs, &**rhs), (Form::Var(_), Form::Var(_)))
+        }
+        other => is_reach(other),
+    }
+}
+
+/// The atom of a literal.
+fn atom_of(literal: &Form) -> &Form {
+    match literal {
+        Form::Not(inner) => inner,
+        other => other,
+    }
+}
+
+impl TheoryExchange for ShapeExchange {
+    fn name(&self) -> &'static str {
+        "shape"
+    }
+
+    fn push(&mut self) {
+        self.marks.push(self.literals.len());
+    }
+
+    fn pop(&mut self) {
+        if let Some(mark) = self.marks.pop() {
+            self.literals.truncate(mark);
+        }
+    }
+
+    fn depth(&self) -> usize {
+        self.marks.len()
+    }
+
+    fn assert_literal(&mut self, literal: &Form) -> bool {
+        if !in_shape_fragment(atom_of(literal)) {
+            return false;
+        }
+        self.literals.push(literal.clone());
+        true
+    }
+
+    fn is_active(&self) -> bool {
+        // Heap equalities alone are the congruence closure's job; the
+        // saturation adds only `reach` reasoning, so it waits for a `reach`
+        // literal rather than run at every leaf.
+        self.literals.iter().any(|l| is_reach(atom_of(l)))
+    }
+
+    fn check(&mut self, _cc: &mut Congruence, _budget: &mut ExchangeBudget) -> TheoryResult {
+        if self.is_active()
+            && ipl_shape::prove_valid(&self.literals, &Form::FALSE, &self.limits)
+                == ShapeOutcome::Valid
+        {
+            return TheoryResult::Conflict;
+        }
+        TheoryResult::Facts(Vec::new())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,6 +463,46 @@ mod tests {
         assert!(matches!(
             theory.check(&mut cc, &mut budget()),
             TheoryResult::Facts(_)
+        ));
+    }
+
+    #[test]
+    fn shape_accepts_only_reach_atoms_and_heap_equalities() {
+        let mut theory = ShapeExchange::new(None);
+        for accepted in [
+            "reach(next, first, a)",
+            "~reach(next, a, first)",
+            "a.next = b",
+            "~(a.next = b)",
+            "next2 = next[a := b]",
+            "a = b",
+        ] {
+            assert!(theory.assert_literal(&f(accepted)), "{accepted}");
+        }
+        for rejected in ["x < y", "a in s", "card(s) = 0", "p"] {
+            assert!(!theory.assert_literal(&f(rejected)), "{rejected}");
+        }
+    }
+
+    #[test]
+    fn shape_is_active_only_with_reach_in_scope() {
+        let mut cc = Congruence::new();
+        let mut theory = ShapeExchange::new(None);
+        theory.assert_literal(&f("a.next = b"));
+        assert!(!theory.is_active(), "heap equalities alone stay inactive");
+        theory.push();
+        theory.assert_literal(&f("reach(next, first, a)"));
+        theory.assert_literal(&f("~reach(next, first, b)"));
+        assert!(theory.is_active());
+        assert!(matches!(
+            theory.check(&mut cc, &mut budget()),
+            TheoryResult::Conflict
+        ));
+        theory.pop_to(0);
+        assert!(!theory.is_active(), "pop_to unwinds the reach literals");
+        assert!(matches!(
+            theory.check(&mut cc, &mut budget()),
+            TheoryResult::Facts(ref facts) if facts.is_empty()
         ));
     }
 }

@@ -27,9 +27,9 @@
 //!   with the trail, and the Fourier–Motzkin refutation re-runs only when the
 //!   stack or the congruence generation changed.
 //!
-//! Theory conflicts that cannot be explained (BAPA exchange verdicts,
-//! arithmetic) fall back to learning the negation of the current decisions,
-//! which still prunes re-exploration and backjumps soundly.
+//! Theory conflicts that cannot be explained (BAPA and shape exchange
+//! verdicts, arithmetic) fall back to learning the negation of the current
+//! decisions, which still prunes re-exploration and backjumps soundly.
 //!
 //! The search is deliberately budgeted: when the number of decisions and
 //! conflicts exceeds the configured limit it gives up and reports "unknown",
@@ -37,7 +37,7 @@
 //! the provers is reproduced.
 
 use crate::cc::{Congruence, Implied, TermId};
-use crate::exchange::{BapaExchange, ExchangeBudget, TheoryExchange, TheoryResult};
+use crate::exchange::{BapaExchange, ExchangeBudget, ShapeExchange, TheoryExchange, TheoryResult};
 use crate::{Cancel, GroundConfig, ProverConfig};
 use ipl_bapa::presburger::{id_conjunction_infeasible, IdLinExpr};
 use ipl_logic::hashed::Hashed;
@@ -359,7 +359,10 @@ struct Solver<'a> {
 impl<'a> Solver<'a> {
     fn new(env: &'a SortEnv, config: &ProverConfig, cancel: &'a Cancel) -> Self {
         let theories: Vec<Box<dyn TheoryExchange>> = if config.exchange.enabled {
-            vec![Box::new(BapaExchange::default())]
+            vec![
+                Box::new(BapaExchange::default()),
+                Box::new(ShapeExchange::new(cancel.deadline())),
+            ]
         } else {
             Vec::new()
         };
@@ -2041,6 +2044,30 @@ mod tests {
         assert_eq!(
             refute_literals(
                 &["card(s) = 0 | p", "g(s) = a", "g(emptyset) = b", "~(a = b)",],
+                &ProverConfig::default()
+            ),
+            GroundResult::Unknown
+        );
+    }
+
+    #[test]
+    fn reach_literals_do_not_close_sibling_branches() {
+        // The first disjunct's `reach` literal closes its branch through the
+        // shape theory; the second branch is satisfiable and must not see it.
+        let closing = ["reach(next, b, c)", "a.next = b", "~reach(next, a, c)"];
+        assert_eq!(
+            refute_literals(&closing, &ProverConfig::default()),
+            GroundResult::Unsat,
+            "the in-tableau shape theory closes the branch"
+        );
+        assert_eq!(
+            refute_literals(&closing, &ProverConfig::without_exchange()),
+            GroundResult::Unknown,
+            "without the exchange the ground solver alone cannot"
+        );
+        assert_eq!(
+            refute_literals(
+                &["reach(next, b, c) | p", "a.next = b", "~reach(next, a, c)"],
                 &ProverConfig::default()
             ),
             GroundResult::Unknown

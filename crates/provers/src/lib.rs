@@ -17,8 +17,9 @@
 //!   against a term index of the ground set, with a bounded sort-pool
 //!   enumeration as the fallback for trigger-less quantifiers
 //!   ([`TriggerConfig`] holds the knobs);
-//! * adapters for the [`ipl-bapa`] cardinality decision procedure and the
-//!   [`ipl-shape`] reachability prover;
+//! * [`exchange`] — the theories of the ground solver's Nelson–Oppen loop:
+//!   the `ipl-bapa` cardinality decision procedure and the `ipl-shape`
+//!   reachability prover;
 //! * [`cascade`] — the dispatcher that runs the provers in order with per-
 //!   prover budgets and records which prover discharged each sequent.
 //!
@@ -102,7 +103,7 @@ impl Cancel {
     }
 
     /// The deadline of this token, for handing down to sub-solvers with
-    /// their own limit structures (e.g. `BapaLimits::deadline`).
+    /// their own limit structures (e.g. `ShapeLimits::deadline`).
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
     }
@@ -321,12 +322,14 @@ impl GroundConfig {
 }
 
 /// Knobs of the Nelson–Oppen equality-exchange loop that runs the BAPA
-/// cardinality procedure (and future theories) inside the ground tableau
-/// (see [`exchange`]).
+/// cardinality procedure and the reachability prover inside the ground
+/// tableau (see [`exchange`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ExchangeConfig {
-    /// Master switch: when `false`, theories run only as standalone cascade
-    /// stages (the pre-combination behaviour, kept for ablations).
+    /// Master switch: when `false`, the ground core runs with no theory
+    /// tenants, the set-up the [`ground::reference`] differential tests
+    /// compare against.  It is not a switch back to standalone theory
+    /// stages: there are none, so BAPA and reachability goals go unproved.
     pub enabled: bool,
     /// Fixpoint iterations of the exchange loop per saturated leaf.
     pub max_rounds: usize,
@@ -499,7 +502,8 @@ impl ProverConfig {
     }
 
     /// The default budgets with the in-tableau theory combination disabled
-    /// (theories as standalone cascade stages only); used by the ablations.
+    /// (a ground core with no theory tenants); used by the differential
+    /// tests and the ablations.
     pub fn without_exchange() -> Self {
         ProverConfig {
             exchange: ExchangeConfig::disabled(),

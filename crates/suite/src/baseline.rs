@@ -306,24 +306,6 @@ pub fn parse_baseline(input: &str) -> Result<Baseline, String> {
 /// violations (empty when the gate passes): any benchmark verifying fewer
 /// methods than the baseline, any baseline benchmark missing from the run,
 /// and total wall-clock beyond [`WALL_CLOCK_TOLERANCE`] times the baseline.
-/// Total ground-core propagations of one parsed benchmark entry, tolerating
-/// both `ground_stats` shapes: the historical single `propagations` counter
-/// and the split `bool_propagations` + `theory_propagations` pair that
-/// replaced it.  Returns `None` when the entry has no propagation counters
-/// at all (e.g. a hand-written baseline that omits `ground_stats`).
-pub fn ground_propagations(entry: &Json) -> Option<u128> {
-    let stats = entry.get("ground_stats")?;
-    if let Some(total) = stats.get("propagations").and_then(Json::as_u128) {
-        return Some(total);
-    }
-    let boolean = stats.get("bool_propagations").and_then(Json::as_u128);
-    let theory = stats.get("theory_propagations").and_then(Json::as_u128);
-    match (boolean, theory) {
-        (None, None) => None,
-        (boolean, theory) => Some(boolean.unwrap_or(0) + theory.unwrap_or(0)),
-    }
-}
-
 pub fn check_baseline(rows: &[Table1Row], total_wall_ms: u128, baseline: &Baseline) -> Vec<String> {
     let mut violations = Vec::new();
     for expected in &baseline.benchmarks {
@@ -511,41 +493,6 @@ mod tests {
         assert_eq!(parsed.benchmarks.len(), 2);
         assert_eq!(parsed.benchmarks[0].name, "Linked List");
         assert_eq!(parsed.benchmarks[0].methods_verified, 6);
-    }
-
-    #[test]
-    fn ground_stats_tolerate_old_and_new_field_shapes() {
-        // Old shape: one lumped `propagations` counter (pre-split baselines
-        // checked into history must keep parsing).
-        let old = parse_json(
-            "{\"name\": \"Hash Table\", \"ground_stats\": \
-             {\"decisions\": 10, \"propagations\": 566, \"conflicts\": 3}}",
-        )
-        .unwrap();
-        assert_eq!(ground_propagations(&old), Some(566));
-        // New shape: the split pair sums to the same total.
-        let new = parse_json(
-            "{\"name\": \"Hash Table\", \"ground_stats\": \
-             {\"decisions\": 10, \"bool_propagations\": 540, \
-              \"theory_propagations\": 26, \"conflicts\": 3}}",
-        )
-        .unwrap();
-        assert_eq!(ground_propagations(&new), Some(566));
-        // No counters at all: absent, not zero.
-        let none = parse_json("{\"name\": \"X\", \"ground_stats\": {\"decisions\": 1}}").unwrap();
-        assert_eq!(ground_propagations(&none), None);
-        // Round-trip: what to_bench_json writes today parses as the new
-        // shape through the same accessor.
-        let json = crate::table1::to_bench_json(
-            &[row("Linked List", 6)],
-            &crate::table1::BenchMeta {
-                total_wall_ms: 900,
-                ..Default::default()
-            },
-        );
-        let doc = parse_json(&json).unwrap();
-        let entry = &doc.get("benchmarks").and_then(Json::as_array).unwrap()[0];
-        assert_eq!(ground_propagations(entry), Some(12 + 3));
     }
 
     #[test]

@@ -78,6 +78,35 @@ mod tests {
     }
 
     #[test]
+    fn every_cascade_stage_proves_a_table1_sequent() {
+        // A stage that proves nothing on Table 1 only adds a dispatch to
+        // every Unknown.  The timeout is raised so the count does not depend
+        // on the machine, and the cache is off so every sequent is proved by
+        // a stage rather than replayed.
+        let options = ipl_core::VerifyOptions::default()
+            .with_config(ProverConfig {
+                use_cache: false,
+                per_prover_timeout_ms: 600_000,
+                ..suite_config()
+            })
+            .with_record_sequents(false)
+            .with_jobs(1);
+        let mut proved_by = std::collections::BTreeMap::new();
+        for benchmark in all() {
+            let report = verify_benchmark(&benchmark, &options).unwrap();
+            for (prover, count) in report.prover_counts() {
+                *proved_by.entry(prover).or_insert(0) += count;
+            }
+        }
+        for stage in ipl_provers::Cascade::standard(suite_config()).prover_names() {
+            assert!(
+                proved_by.get(stage).copied().unwrap_or(0) > 0,
+                "stage {stage} proves no Table 1 sequent: {proved_by:?}"
+            );
+        }
+    }
+
+    #[test]
     fn association_list_fully_verifies_with_ematching() {
         // Regression pin for the trigger-driven E-matching engine: before it
         // landed the suite verified only 2 of 5 Association List methods
