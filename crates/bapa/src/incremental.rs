@@ -18,10 +18,10 @@
 //! while the revision cache keeps the amortised cost incremental.
 
 use crate::extract::{BapaForm, Extractor};
-use crate::venn;
-use crate::BapaLimits;
+use crate::{expired, venn};
 use ipl_logic::Form;
 use std::collections::BTreeSet;
+use std::time::Instant;
 
 /// Result of a satisfiability check over the asserted atoms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,9 +33,10 @@ pub enum BapaCheck {
 }
 
 /// The incremental BAPA assertion engine.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct IncrementalBapa {
-    limits: BapaLimits,
+    /// Checks give up (reporting no contradiction) once this passes.
+    deadline: Option<Instant>,
     /// The assertion stack: accepted in-fragment formulas, in order.
     forms: Vec<Form>,
     /// Parallel to `forms`: does the formula mention a cardinality?  Kept as
@@ -60,26 +61,19 @@ pub struct IncrementalBapa {
 }
 
 impl IncrementalBapa {
-    /// Creates an empty engine with the given limits.
-    pub fn new(limits: BapaLimits) -> Self {
+    /// Creates an empty engine whose checks give up at `deadline`.
+    pub fn new(deadline: Option<Instant>) -> Self {
         IncrementalBapa {
-            limits,
-            forms: Vec::new(),
-            card_flags: Vec::new(),
-            scopes: Vec::new(),
-            revision: 0,
-            extracted: None,
-            checked: None,
-            component_cache: std::collections::HashMap::new(),
+            deadline,
+            ..IncrementalBapa::default()
         }
     }
 
     /// [`venn::conjunction_unsatisfiable`] with the per-component verdicts
     /// served from (and recorded in) the content-addressed cache.
     fn conjunction_unsatisfiable_cached(&mut self, atoms: &[BapaForm]) -> bool {
-        let limits = self.limits;
         for component in venn::components(atoms) {
-            if limits.expired() {
+            if expired(self.deadline) {
                 return false;
             }
             use std::hash::{DefaultHasher, Hash, Hasher};
@@ -95,7 +89,7 @@ impl IncrementalBapa {
             let unsat = match self.component_cache.get(&key) {
                 Some(&cached) => cached,
                 None => {
-                    let fresh = venn::component_unsatisfiable(atoms, &component, &limits);
+                    let fresh = venn::component_unsatisfiable(atoms, &component, self.deadline);
                     self.component_cache.insert(key, fresh);
                     fresh
                 }
@@ -269,12 +263,6 @@ fn mentions_card(form: &Form) -> bool {
     let mut found = false;
     rec(form, &mut found);
     found
-}
-
-impl Default for IncrementalBapa {
-    fn default() -> Self {
-        IncrementalBapa::new(BapaLimits::default())
-    }
 }
 
 #[cfg(test)]

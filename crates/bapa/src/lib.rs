@@ -14,18 +14,21 @@
 //! ## Pipeline
 //!
 //! 1. [`extract`] maps an `ipl-logic` formula into the BAPA abstract syntax
-//!    ([`BapaForm`]), rejecting anything outside the fragment.
+//!    ([`BapaForm`](extract::BapaForm)), rejecting anything outside the
+//!    fragment.
 //! 2. [`venn`] introduces one non-negative integer variable per Venn region of
 //!    the set variables and rewrites every cardinality and set-algebra atom
 //!    into linear arithmetic over those variables.
-//! 3. [`presburger`] decides the resulting Presburger sentence: Cooper's
-//!    quantifier-elimination algorithm for small problems, with a sound
-//!    Fourier–Motzkin refutation fallback for larger ones.
+//! 3. [`presburger`] decides the resulting Presburger sentence.  A sound
+//!    Fourier–Motzkin refutation runs first on every sentence; when it fails
+//!    and the sentence has at most six variables, Cooper's complete
+//!    quantifier-elimination algorithm decides it.
 //!
-//! The top-level entry point is [`prove_valid`], which checks validity of
+//! The ground solver reaches this pipeline through [`IncrementalBapa`].
+//! [`prove_valid`] is the one-shot reference: it checks validity of
 //! `assumptions --> goal` and errs on the side of returning
-//! [`BapaOutcome::Unknown`] whenever the formula leaves the fragment or the
-//! problem exceeds the configured size limits.
+//! [`BapaOutcome::Unknown`] whenever the formula leaves the fragment, the
+//! problem exceeds the size limits, or the deadline passes.
 
 pub mod extract;
 pub mod incremental;
@@ -36,6 +39,7 @@ pub use incremental::IncrementalBapa;
 pub use presburger::{id_conjunction_infeasible, IdLinExpr};
 
 use ipl_logic::Form;
+use std::time::Instant;
 
 /// The result of a BAPA validity query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,38 +51,10 @@ pub enum BapaOutcome {
     Unknown,
 }
 
-/// Resource limits for the BAPA procedure.
-#[derive(Debug, Clone, Copy)]
-pub struct BapaLimits {
-    /// Maximum number of distinct set variables (the Venn construction is
-    /// exponential in this number).
-    pub max_set_vars: usize,
-    /// Maximum number of integer variables Cooper's algorithm is applied to;
-    /// above this the Fourier–Motzkin fallback is used.
-    pub max_cooper_vars: usize,
-    /// Hard cap on formula nodes produced during quantifier elimination.
-    pub max_qe_nodes: usize,
-    /// Cooperative deadline: the Venn-region and quantifier-elimination
-    /// loops poll it and give up (reporting `Unknown`) once it passes.
-    pub deadline: Option<std::time::Instant>,
-}
-
-impl Default for BapaLimits {
-    fn default() -> Self {
-        BapaLimits {
-            max_set_vars: 6,
-            max_cooper_vars: 6,
-            max_qe_nodes: 20_000,
-            deadline: None,
-        }
-    }
-}
-
-impl BapaLimits {
-    /// Returns `true` once the deadline (if any) has passed.
-    pub fn expired(&self) -> bool {
-        matches!(self.deadline, Some(deadline) if std::time::Instant::now() >= deadline)
-    }
+/// Returns `true` once the deadline (if any) has passed.  The Venn and
+/// quantifier-elimination loops poll it and give up (reporting `Unknown`).
+pub(crate) fn expired(deadline: Option<Instant>) -> bool {
+    matches!(deadline, Some(deadline) if Instant::now() >= deadline)
 }
 
 /// Checks validity of `(/\ assumptions) --> goal` within the BAPA fragment.
@@ -86,7 +62,7 @@ impl BapaLimits {
 /// Returns [`BapaOutcome::Unknown`] (never an error) when any part of the
 /// input is outside the fragment; the caller simply moves on to the next
 /// prover in the cascade.
-pub fn prove_valid(assumptions: &[Form], goal: &Form, limits: &BapaLimits) -> BapaOutcome {
+pub fn prove_valid(assumptions: &[Form], goal: &Form, deadline: Option<Instant>) -> BapaOutcome {
     // Classify variables by scanning the whole problem (assumptions and goal
     // together), so that e.g. an element variable used in a membership in one
     // assumption is recognised as an element in a disequality elsewhere.
@@ -112,7 +88,7 @@ pub fn prove_valid(assumptions: &[Form], goal: &Form, limits: &BapaLimits) -> Ba
         parts.extend(venn::conjuncts(&t));
     }
     parts.push(extract::BapaForm::Not(Box::new(goal)));
-    if venn::conjunction_unsatisfiable(&parts, limits) {
+    if venn::conjunction_unsatisfiable(&parts, deadline) {
         BapaOutcome::Valid
     } else {
         BapaOutcome::Unknown
@@ -127,7 +103,7 @@ mod tests {
     fn valid(assumptions: &[&str], goal: &str) -> bool {
         let assumptions: Vec<Form> = assumptions.iter().map(|s| parse_form(s).unwrap()).collect();
         let goal = parse_form(goal).unwrap();
-        prove_valid(&assumptions, &goal, &BapaLimits::default()) == BapaOutcome::Valid
+        prove_valid(&assumptions, &goal, None) == BapaOutcome::Valid
     }
 
     #[test]
@@ -194,14 +170,8 @@ mod tests {
         let goal = parse_form("card(s) >= 0").unwrap();
         // The out-of-fragment assumption is dropped (soundly); the goal itself
         // is provable because cardinalities are non-negative.
-        assert_eq!(
-            prove_valid(&assumptions, &goal, &BapaLimits::default()),
-            BapaOutcome::Valid
-        );
+        assert_eq!(prove_valid(&assumptions, &goal, None), BapaOutcome::Valid);
         let goal = parse_form("y.next = x").unwrap();
-        assert_eq!(
-            prove_valid(&assumptions, &goal, &BapaLimits::default()),
-            BapaOutcome::Unknown
-        );
+        assert_eq!(prove_valid(&assumptions, &goal, None), BapaOutcome::Unknown);
     }
 }

@@ -1,116 +1,30 @@
 //! Quantifier-free and quantified Presburger arithmetic.
 //!
-//! Two deciders are provided:
+//! Every linear expression is an [`IdLinExpr`]: variables are small integer
+//! ids, whether they stand for Venn regions, integer variables of a BAPA
+//! formula, or congruence classes of the ground solver.  Two deciders work
+//! over it:
 //!
 //! * a **Fourier–Motzkin refutation** over the rationals (with integer
 //!   tightening of strict inequalities), which is sound for proving
 //!   unsatisfiability and fast; and
 //! * **Cooper's quantifier elimination**, a complete decision procedure for
-//!   Presburger sentences, used when the variable count is small enough.
+//!   Presburger sentences, applied to sentences with at most six variables.
 //!
-//! [`unsatisfiable`] combines the two: it returns `true` only when the
-//! sentence is definitely unsatisfiable.
+//! [`unsatisfiable`] runs Fourier–Motzkin first and Cooper only when that
+//! fails: it returns `true` only when the sentence is definitely
+//! unsatisfiable.
 
-use crate::BapaLimits;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::expired;
+use std::collections::BTreeSet;
+use std::time::Instant;
 
-/// A linear expression `sum(coeff_i * var_i) + constant`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct LinExpr {
-    /// Variable coefficients (zero coefficients are removed).
-    pub coeffs: BTreeMap<String, i64>,
-    /// The constant term.
-    pub constant: i64,
-}
+/// Sentences with more quantified variables than this are left to
+/// Fourier–Motzkin alone.
+const MAX_COOPER_VARS: usize = 6;
 
-impl LinExpr {
-    /// The constant expression.
-    pub fn constant(value: i64) -> LinExpr {
-        LinExpr {
-            coeffs: BTreeMap::new(),
-            constant: value,
-        }
-    }
-
-    /// The expression `coeff * var`.
-    pub fn variable(name: &str, coeff: i64) -> LinExpr {
-        let mut coeffs = BTreeMap::new();
-        if coeff != 0 {
-            coeffs.insert(name.to_string(), coeff);
-        }
-        LinExpr {
-            coeffs,
-            constant: 0,
-        }
-    }
-
-    /// Adds `coeff * var` to this expression in place.
-    pub fn add_var(&mut self, name: &str, coeff: i64) {
-        let entry = self.coeffs.entry(name.to_string()).or_insert(0);
-        *entry += coeff;
-        if *entry == 0 {
-            self.coeffs.remove(name);
-        }
-    }
-
-    /// Returns `self + other`.
-    pub fn plus(&self, other: &LinExpr) -> LinExpr {
-        let mut out = self.clone();
-        out.constant += other.constant;
-        for (name, coeff) in &other.coeffs {
-            out.add_var(name, *coeff);
-        }
-        out
-    }
-
-    /// Returns `k * self`.
-    pub fn scaled(&self, k: i64) -> LinExpr {
-        if k == 0 {
-            return LinExpr::constant(0);
-        }
-        LinExpr {
-            coeffs: self
-                .coeffs
-                .iter()
-                .map(|(n, c)| (n.clone(), c * k))
-                .collect(),
-            constant: self.constant * k,
-        }
-    }
-
-    /// Returns `self + k`.
-    pub fn shifted(&self, k: i64) -> LinExpr {
-        let mut out = self.clone();
-        out.constant += k;
-        out
-    }
-
-    /// The coefficient of a variable (zero if absent).
-    pub fn coeff(&self, name: &str) -> i64 {
-        self.coeffs.get(name).copied().unwrap_or(0)
-    }
-
-    /// Removes the variable and returns its former coefficient.
-    pub fn remove(&mut self, name: &str) -> i64 {
-        self.coeffs.remove(name).unwrap_or(0)
-    }
-
-    /// Returns `true` if the expression has no variables.
-    pub fn is_constant(&self) -> bool {
-        self.coeffs.is_empty()
-    }
-
-    /// Substitutes `var := replacement` (the replacement is itself linear).
-    pub fn substitute(&self, name: &str, replacement: &LinExpr) -> LinExpr {
-        let coeff = self.coeff(name);
-        if coeff == 0 {
-            return self.clone();
-        }
-        let mut out = self.clone();
-        out.remove(name);
-        out.plus(&replacement.scaled(coeff))
-    }
-}
+/// Hard cap on formula nodes produced during quantifier elimination.
+const MAX_QE_NODES: usize = 20_000;
 
 /// Presburger formulas.  `Le(e)` means `e <= 0`; `Divides(d, e)` means
 /// `d | e`.
@@ -121,22 +35,22 @@ pub enum PForm {
     /// Falsity.
     False,
     /// `expr <= 0`.
-    Le(LinExpr),
+    Le(IdLinExpr),
     /// `d` divides `expr` (`d > 0`).
-    Divides(i64, LinExpr),
+    Divides(i64, IdLinExpr),
     /// Negation.
     Not(Box<PForm>),
     /// Conjunction.
     And(Vec<PForm>),
     /// Disjunction.
     Or(Vec<PForm>),
-    /// Existential quantification over an integer variable.
-    Exists(String, Box<PForm>),
+    /// Existential quantification over the integer variable with this id.
+    Exists(usize, Box<PForm>),
 }
 
 impl PForm {
     /// `expr <= 0`, with constant folding.
-    pub fn le(expr: LinExpr) -> PForm {
+    pub fn le(expr: IdLinExpr) -> PForm {
         if expr.is_constant() {
             if expr.constant <= 0 {
                 PForm::True
@@ -198,10 +112,10 @@ impl PForm {
     }
 
     /// Collects free variables (quantified variables are excluded).
-    pub fn collect_vars(&self, out: &mut BTreeSet<String>) {
+    pub fn collect_vars(&self, out: &mut BTreeSet<usize>) {
         match self {
             PForm::True | PForm::False => {}
-            PForm::Le(e) | PForm::Divides(_, e) => out.extend(e.coeffs.keys().cloned()),
+            PForm::Le(e) | PForm::Divides(_, e) => out.extend(e.terms().iter().map(|&(id, _)| id)),
             PForm::Not(inner) => inner.collect_vars(out),
             PForm::And(parts) | PForm::Or(parts) => parts.iter().for_each(|p| p.collect_vars(out)),
             PForm::Exists(var, body) => {
@@ -251,7 +165,7 @@ impl PForm {
                     PForm::le(e.clone())
                 } else {
                     // not (e <= 0)  <=>  e >= 1  <=>  -e + 1 <= 0 (integers)
-                    PForm::le(e.scaled(-1).shifted(1))
+                    PForm::le(IdLinExpr::constant(1).plus(e, -1))
                 }
             }
             PForm::Divides(d, e) => {
@@ -284,10 +198,10 @@ impl PForm {
                 // this literal language, so keep it (Cooper handles prenex
                 // sentences only and the callers guarantee that shape).
                 if positive {
-                    PForm::Exists(var.clone(), Box::new(body.nnf_signed(true)))
+                    PForm::Exists(*var, Box::new(body.nnf_signed(true)))
                 } else {
                     PForm::Not(Box::new(PForm::Exists(
-                        var.clone(),
+                        *var,
                         Box::new(body.nnf_signed(true)),
                     )))
                 }
@@ -296,29 +210,29 @@ impl PForm {
     }
 
     /// Substitutes a variable by a linear expression in every literal.
-    pub fn substitute(&self, name: &str, replacement: &LinExpr) -> PForm {
+    pub fn substitute(&self, var: usize, replacement: &IdLinExpr) -> PForm {
         match self {
             PForm::True | PForm::False => self.clone(),
-            PForm::Le(e) => PForm::le(e.substitute(name, replacement)),
-            PForm::Divides(d, e) => PForm::Divides(*d, e.substitute(name, replacement)),
-            PForm::Not(inner) => PForm::not(inner.substitute(name, replacement)),
+            PForm::Le(e) => PForm::le(e.substitute(var, replacement)),
+            PForm::Divides(d, e) => PForm::Divides(*d, e.substitute(var, replacement)),
+            PForm::Not(inner) => PForm::not(inner.substitute(var, replacement)),
             PForm::And(parts) => PForm::and(
                 parts
                     .iter()
-                    .map(|p| p.substitute(name, replacement))
+                    .map(|p| p.substitute(var, replacement))
                     .collect(),
             ),
             PForm::Or(parts) => PForm::or(
                 parts
                     .iter()
-                    .map(|p| p.substitute(name, replacement))
+                    .map(|p| p.substitute(var, replacement))
                     .collect(),
             ),
-            PForm::Exists(var, body) => {
-                if var == name {
+            PForm::Exists(bound, body) => {
+                if *bound == var {
                     self.clone()
                 } else {
-                    PForm::Exists(var.clone(), Box::new(body.substitute(name, replacement)))
+                    PForm::Exists(*bound, Box::new(body.substitute(var, replacement)))
                 }
             }
         }
@@ -373,52 +287,20 @@ fn div_ceil(a: i64, b: i64) -> i64 {
 // Fourier–Motzkin refutation
 // --------------------------------------------------------------------------
 
-/// Dense interner from variable names to the integer ids the refutation core
-/// works over.  One instance lives for the duration of a single
-/// [`fm_unsatisfiable`] call — ids never escape it.
-#[derive(Default)]
-struct NameIds(std::collections::HashMap<String, usize>);
-
-impl NameIds {
-    fn id(&mut self, name: &str) -> usize {
-        if let Some(&id) = self.0.get(name) {
-            return id;
-        }
-        let id = self.0.len();
-        self.0.insert(name.to_string(), id);
-        id
-    }
-}
-
-/// Converts a string-keyed expression into the id-keyed form (canonical by
-/// construction: `BTreeMap` iteration is name-ordered but ids are assigned in
-/// first-seen order, so a final canonicalisation pass re-sorts).
-fn to_id_expr(e: &LinExpr, ids: &mut NameIds) -> IdLinExpr {
-    let mut out = IdLinExpr::constant(e.constant);
-    for (name, &k) in &e.coeffs {
-        out.push_term(ids.id(name), k);
-    }
-    out.canonicalize();
-    out
-}
-
 /// Converts an NNF, quantifier-free formula into disjunctive normal form as a
-/// list of conjunctions of id-keyed `<= 0` constraints.  Divisibility
-/// literals are dropped (weakening, hence sound for refutation).  Returns
-/// `None` if the DNF exceeds the cap.  Working over [`IdLinExpr`] here keeps
-/// the cross-product clones flat `memcpy`s instead of `BTreeMap` rebuilds —
-/// the Venn sentences this decides have dozens of region variables per
-/// constraint.
-fn dnf_id(form: &PForm, ids: &mut NameIds, cap: usize) -> Option<Vec<Vec<IdLinExpr>>> {
+/// list of conjunctions of `<= 0` constraints.  Divisibility literals are
+/// dropped (weakening, hence sound for refutation).  Returns `None` if the
+/// DNF exceeds the cap.
+fn dnf(form: &PForm, cap: usize) -> Option<Vec<Vec<IdLinExpr>>> {
     match form {
         PForm::True => Some(vec![Vec::new()]),
         PForm::False => Some(vec![]),
-        PForm::Le(e) => Some(vec![vec![to_id_expr(e, ids)]]),
+        PForm::Le(e) => Some(vec![vec![e.clone()]]),
         PForm::Divides(..) | PForm::Not(_) => Some(vec![Vec::new()]), // dropped
         PForm::And(parts) => {
             let mut acc = vec![Vec::new()];
             for part in parts {
-                let branches = dnf_id(part, ids, cap)?;
+                let branches = dnf(part, cap)?;
                 let mut next = Vec::new();
                 for a in &acc {
                     for b in &branches {
@@ -437,24 +319,21 @@ fn dnf_id(form: &PForm, ids: &mut NameIds, cap: usize) -> Option<Vec<Vec<IdLinEx
         PForm::Or(parts) => {
             let mut out = Vec::new();
             for part in parts {
-                out.extend(dnf_id(part, ids, cap)?);
+                out.extend(dnf(part, cap)?);
                 if out.len() > cap {
                     return None;
                 }
             }
             Some(out)
         }
-        PForm::Exists(_, body) => dnf_id(body, ids, cap),
+        PForm::Exists(_, body) => dnf(body, cap),
     }
 }
 
-/// Sound unsatisfiability check by rational Fourier–Motzkin on the DNF.  The
-/// string-keyed input is interned once; the DNF expansion and the elimination
-/// itself run entirely over [`IdLinExpr`].
+/// Sound unsatisfiability check by rational Fourier–Motzkin on the DNF:
+/// every disjunct goes through [`id_conjunction_infeasible`].
 pub fn fm_unsatisfiable(body: &PForm) -> bool {
-    let nnf = body.nnf();
-    let mut ids = NameIds::default();
-    match dnf_id(&nnf, &mut ids, 4_096) {
+    match dnf(&body.nnf(), 4_096) {
         Some(conjuncts) => conjuncts
             .into_iter()
             .all(|c| id_conjunction_infeasible(&c, 20_000)),
@@ -463,22 +342,18 @@ pub fn fm_unsatisfiable(body: &PForm) -> bool {
 }
 
 // --------------------------------------------------------------------------
-// Integer-keyed Fourier–Motzkin (the ground solver's hot path)
+// Linear expressions and Fourier–Motzkin
 // --------------------------------------------------------------------------
 
-/// A linear expression keyed by small integer variable ids instead of
-/// `String` names: `sum(coeff_i * id_i) + constant`.
+/// A linear expression keyed by small integer variable ids:
+/// `sum(coeff_i * id_i) + constant`.
 ///
-/// This is the representation the ground CDCL(T) solver feeds to its
-/// incremental Fourier–Motzkin re-check: re-keying a constraint onto the
-/// current congruence-class representatives becomes an integer lookup plus a
-/// sorted merge, where the string-keyed path used to format and hash a
-/// `t{rep}` name per coefficient per check.  Terms are a `(id, coefficient)`
-/// list sorted by id with no zero coefficients, so combining two expressions
-/// is a linear merge and the buffers can be pooled (see
-/// [`IdLinExpr::clear`]).  The string-keyed [`LinExpr`] remains the API for
-/// the Venn translator and Cooper elimination, which genuinely work over
-/// named set/element variables.
+/// The Venn translator numbers its region and integer variables, and the
+/// ground CDCL(T) solver re-keys each constraint onto the current
+/// congruence-class representatives, so both reach Fourier–Motzkin and
+/// Cooper through this one type.  Terms are a `(id, coefficient)` list
+/// sorted by id with no zero coefficients, so combining two expressions is a
+/// linear merge and the buffers can be pooled (see [`IdLinExpr::clear`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct IdLinExpr {
     /// `(variable id, coefficient)` pairs, strictly sorted by id once
@@ -494,6 +369,38 @@ impl IdLinExpr {
         IdLinExpr {
             terms: Vec::new(),
             constant: value,
+        }
+    }
+
+    /// The expression `coeff * id`.
+    pub fn variable(id: usize, coeff: i64) -> IdLinExpr {
+        let mut out = IdLinExpr::default();
+        out.push_term(id, coeff);
+        out
+    }
+
+    /// Returns `self + k * other`.
+    pub fn plus(&self, other: &IdLinExpr, k: i64) -> IdLinExpr {
+        let mut out = IdLinExpr::default();
+        IdLinExpr::combine_into(&mut out, self, 1, other, k);
+        out
+    }
+
+    /// Removes the variable and returns its former coefficient.  Requires
+    /// canonical form.
+    pub fn remove(&mut self, id: usize) -> i64 {
+        match self.terms.binary_search_by_key(&id, |&(i, _)| i) {
+            Ok(i) => self.terms.remove(i).1,
+            Err(_) => 0,
+        }
+    }
+
+    /// Substitutes `id := replacement` (the replacement is itself linear).
+    pub fn substitute(&self, id: usize, replacement: &IdLinExpr) -> IdLinExpr {
+        let mut out = self.clone();
+        match out.remove(id) {
+            0 => out,
+            coeff => out.plus(replacement, coeff),
         }
     }
 
@@ -604,7 +511,7 @@ impl IdLinExpr {
 
     /// Normalises one constraint `self <= 0`: divides by the gcd of the
     /// coefficients and rounds the constant towards the tighter integer
-    /// bound, exactly like the string-keyed [`Conjunct`] normalisation.
+    /// bound.
     fn normalise_le(&mut self) {
         let mut g = 0i64;
         for &(_, c) in &self.terms {
@@ -619,13 +526,14 @@ impl IdLinExpr {
     }
 }
 
-/// Fourier–Motzkin elimination over a conjunction of `expr <= 0` id-keyed
+/// Fourier–Motzkin elimination over a conjunction of `expr <= 0`
 /// constraints: returns `true` if the conjunction is infeasible over the
-/// rationals (which implies integer infeasibility).  The semantics mirror
-/// [`Conjunct::infeasible`] — gcd normalisation with integer tightening, the
-/// fewest-new-constraints variable pick, positive combinations, and the
-/// give-up cap — but the ground solver hands constraints straight in as a
-/// conjunction, skipping the NNF/DNF detour of [`fm_unsatisfiable`] entirely.
+/// rationals after gcd normalisation with integer tightening (which implies
+/// integer infeasibility).  Eliminates the variable that produces the fewest
+/// new constraints, the lowest id on ties, and gives up (`false`) once more
+/// than `max_constraints` are live.  The ground solver hands constraints
+/// straight in as a conjunction, skipping the NNF/DNF detour of
+/// [`fm_unsatisfiable`].
 pub fn id_conjunction_infeasible(constraints: &[IdLinExpr], max_constraints: usize) -> bool {
     let mut les: Vec<IdLinExpr> = constraints.to_vec();
     // (variable, lower-bound count, upper-bound count) aggregation scratch.
@@ -704,7 +612,7 @@ pub fn id_conjunction_infeasible(constraints: &[IdLinExpr], max_constraints: usi
 /// Eliminates one existential quantifier `exists x. body` where `body` is
 /// quantifier-free and in NNF.  Returns `None` if the result would exceed the
 /// node budget.
-fn cooper_eliminate(var: &str, body: &PForm, budget: usize) -> Option<PForm> {
+fn cooper_eliminate(var: usize, body: &PForm) -> Option<PForm> {
     // 1. Compute the lcm of the coefficients of `var`.
     let mut coeff_lcm = 1i64;
     collect_coeff_lcm(body, var, &mut coeff_lcm);
@@ -713,33 +621,35 @@ fn cooper_eliminate(var: &str, body: &PForm, budget: usize) -> Option<PForm> {
     let scaled = scale_var(body, var, coeff_lcm);
     let scaled = PForm::and(vec![
         scaled,
-        PForm::Divides(coeff_lcm, LinExpr::variable(var, 1)),
+        PForm::Divides(coeff_lcm, IdLinExpr::variable(var, 1)),
     ]);
     // 3. delta = lcm of the divisors of all divisibility literals.
     let mut delta = 1i64;
     collect_divisor_lcm(&scaled, var, &mut delta);
     // 4. Lower bounds: literals of the form  -y + b <= 0  (i.e. y >= b).
-    let mut lower_bounds: Vec<LinExpr> = Vec::new();
+    let mut lower_bounds: Vec<IdLinExpr> = Vec::new();
     collect_lower_bounds(&scaled, var, &mut lower_bounds);
 
     let mut disjuncts = Vec::new();
     for j in 1..=delta {
         // F_{-infinity}[y := j]
         let minus_inf = minus_infinity(&scaled, var);
-        disjuncts.push(minus_inf.substitute(var, &LinExpr::constant(j)));
+        disjuncts.push(minus_inf.substitute(var, &IdLinExpr::constant(j)));
         // F[y := b + j] for every lower bound b.
         for bound in &lower_bounds {
-            disjuncts.push(scaled.substitute(var, &bound.shifted(j)));
+            let mut shifted = bound.clone();
+            shifted.shift(j);
+            disjuncts.push(scaled.substitute(var, &shifted));
         }
         let total: usize = disjuncts.iter().map(PForm::size).sum();
-        if total > budget {
+        if total > MAX_QE_NODES {
             return None;
         }
     }
     Some(PForm::or(disjuncts))
 }
 
-fn collect_coeff_lcm(form: &PForm, var: &str, acc: &mut i64) {
+fn collect_coeff_lcm(form: &PForm, var: usize, acc: &mut i64) {
     match form {
         PForm::Le(e) | PForm::Divides(_, e) => {
             let c = e.coeff(var);
@@ -757,35 +667,22 @@ fn collect_coeff_lcm(form: &PForm, var: &str, acc: &mut i64) {
 
 /// Scales literals so the coefficient of `var` becomes `+-target` and then
 /// renames `target*var` to just `var` (the standard Cooper step).
-fn scale_var(form: &PForm, var: &str, target: i64) -> PForm {
+fn scale_var(form: &PForm, var: usize, target: i64) -> PForm {
+    let rescale = |e: &IdLinExpr, c: i64| {
+        let mut scaled = e.clone();
+        scaled.scale(target / c.abs());
+        scaled.remove(var);
+        scaled.plus(&IdLinExpr::variable(var, c.signum()), 1)
+    };
     match form {
-        PForm::Le(e) => {
-            let c = e.coeff(var);
-            if c == 0 {
-                PForm::le(e.clone())
-            } else {
-                let factor = target / c.abs();
-                let mut scaled = e.scaled(factor);
-                // Now the coefficient of var is +-target; rename to +-1.
-                let sign = if c > 0 { 1 } else { -1 };
-                scaled.remove(var);
-                scaled.add_var(var, sign);
-                PForm::Le(scaled)
-            }
-        }
-        PForm::Divides(d, e) => {
-            let c = e.coeff(var);
-            if c == 0 {
-                PForm::Divides(*d, e.clone())
-            } else {
-                let factor = target / c.abs();
-                let mut scaled = e.scaled(factor);
-                let sign = if c > 0 { 1 } else { -1 };
-                scaled.remove(var);
-                scaled.add_var(var, sign);
-                PForm::Divides(d * factor, scaled)
-            }
-        }
+        PForm::Le(e) => match e.coeff(var) {
+            0 => PForm::le(e.clone()),
+            c => PForm::Le(rescale(e, c)),
+        },
+        PForm::Divides(d, e) => match e.coeff(var) {
+            0 => PForm::Divides(*d, e.clone()),
+            c => PForm::Divides(d * (target / c.abs()), rescale(e, c)),
+        },
         PForm::Not(inner) => PForm::Not(Box::new(scale_var(inner, var, target))),
         PForm::And(parts) => PForm::and(parts.iter().map(|p| scale_var(p, var, target)).collect()),
         PForm::Or(parts) => PForm::or(parts.iter().map(|p| scale_var(p, var, target)).collect()),
@@ -793,7 +690,7 @@ fn scale_var(form: &PForm, var: &str, target: i64) -> PForm {
     }
 }
 
-fn collect_divisor_lcm(form: &PForm, var: &str, acc: &mut i64) {
+fn collect_divisor_lcm(form: &PForm, var: usize, acc: &mut i64) {
     match form {
         PForm::Divides(d, e) if e.coeff(var) != 0 => {
             *acc = lcm(*acc, *d);
@@ -806,14 +703,15 @@ fn collect_divisor_lcm(form: &PForm, var: &str, acc: &mut i64) {
     }
 }
 
-fn collect_lower_bounds(form: &PForm, var: &str, out: &mut Vec<LinExpr>) {
+fn collect_lower_bounds(form: &PForm, var: usize, out: &mut Vec<IdLinExpr>) {
     match form {
         // -var + rest <= 0  means  var >= rest, i.e. the *strict* lower
         // bound used by Cooper's B-set is rest - 1.
         PForm::Le(e) if e.coeff(var) == -1 => {
             let mut rest = e.clone();
             rest.remove(var);
-            out.push(rest.shifted(-1));
+            rest.shift(-1);
+            out.push(rest);
         }
         PForm::Not(inner) => collect_lower_bounds(inner, var, out),
         PForm::And(parts) | PForm::Or(parts) => {
@@ -825,7 +723,7 @@ fn collect_lower_bounds(form: &PForm, var: &str, out: &mut Vec<LinExpr>) {
 
 /// The `F_{-infinity}` transformation: upper-bound literals become true,
 /// lower-bound literals become false.
-fn minus_infinity(form: &PForm, var: &str) -> PForm {
+fn minus_infinity(form: &PForm, var: usize) -> PForm {
     match form {
         PForm::Le(e) => match e.coeff(var) {
             0 => PForm::le(e.clone()),
@@ -841,27 +739,28 @@ fn minus_infinity(form: &PForm, var: &str) -> PForm {
 }
 
 /// Decides a prenex existential sentence `exists x1 ... xn. body` with
-/// Cooper's algorithm.  Returns `None` if the quantifier-elimination budget is
-/// exceeded.
-pub fn cooper_decide(sentence: &PForm, limits: &BapaLimits) -> Option<bool> {
+/// Cooper's algorithm.  Returns `None` if the sentence has more than six
+/// variables, the quantifier-elimination budget is exceeded, or the deadline
+/// passes.
+pub fn cooper_decide(sentence: &PForm, deadline: Option<Instant>) -> Option<bool> {
     // Peel the existential prefix.
     let mut vars = Vec::new();
     let mut body = sentence;
     while let PForm::Exists(var, inner) = body {
-        vars.push(var.clone());
+        vars.push(*var);
         body = inner;
     }
-    if vars.len() > limits.max_cooper_vars {
+    if vars.len() > MAX_COOPER_VARS {
         return None;
     }
     let mut current = body.nnf();
     // Eliminate innermost-first (reverse declaration order).
-    for var in vars.iter().rev() {
-        if limits.expired() {
+    for &var in vars.iter().rev() {
+        if expired(deadline) {
             return None;
         }
-        current = cooper_eliminate(var, &current, limits.max_qe_nodes)?.nnf();
-        if current.size() > limits.max_qe_nodes {
+        current = cooper_eliminate(var, &current)?.nnf();
+        if current.size() > MAX_QE_NODES {
             return None;
         }
     }
@@ -874,45 +773,59 @@ pub fn cooper_decide(sentence: &PForm, limits: &BapaLimits) -> Option<bool> {
 }
 
 /// Returns `true` only if the sentence is definitely unsatisfiable.
-pub fn unsatisfiable(sentence: &PForm, limits: &BapaLimits) -> bool {
+pub fn unsatisfiable(sentence: &PForm, deadline: Option<Instant>) -> bool {
     // Fast sound refutation first.
-    fm_unsatisfiable(sentence) || matches!(cooper_decide(sentence, limits), Some(false))
+    fm_unsatisfiable(sentence) || matches!(cooper_decide(sentence, deadline), Some(false))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn v(name: &str) -> LinExpr {
-        LinExpr::variable(name, 1)
+    const X: usize = 0;
+    const Y: usize = 1;
+
+    /// `sum(coeff * id) + constant`.
+    fn lin(terms: &[(usize, i64)], constant: i64) -> IdLinExpr {
+        let mut out = IdLinExpr::constant(constant);
+        for &(id, coeff) in terms {
+            out.push_term(id, coeff);
+        }
+        out.canonicalize();
+        out
     }
 
-    fn exists_all(vars: &[&str], body: PForm) -> PForm {
+    fn exists_all(vars: &[usize], body: PForm) -> PForm {
         let mut out = body;
-        for var in vars.iter().rev() {
-            out = PForm::Exists(var.to_string(), Box::new(out));
+        for &var in vars.iter().rev() {
+            out = PForm::Exists(var, Box::new(out));
         }
         out
     }
 
     #[test]
     fn linear_expression_algebra() {
-        let e = v("x").scaled(2).plus(&v("y").scaled(-1)).shifted(3);
-        assert_eq!(e.coeff("x"), 2);
-        assert_eq!(e.coeff("y"), -1);
+        let e = IdLinExpr::variable(X, 2).plus(&lin(&[(Y, -1)], 3), 1);
+        assert_eq!(e.coeff(X), 2);
+        assert_eq!(e.coeff(Y), -1);
         assert_eq!(e.constant, 3);
-        let s = e.substitute("x", &v("y").shifted(1));
-        assert_eq!(s.coeff("x"), 0);
-        assert_eq!(s.coeff("y"), 1);
+        let s = e.substitute(X, &lin(&[(Y, 1)], 1));
+        assert_eq!(s.coeff(X), 0);
+        assert_eq!(s.coeff(Y), 1);
         assert_eq!(s.constant, 5);
+        let mut r = s.clone();
+        assert_eq!(r.remove(Y), 1);
+        assert_eq!(r.remove(Y), 0);
+        assert!(r.is_constant());
+        assert_eq!(s.substitute(X, &lin(&[], 7)), s, "absent variable");
     }
 
     #[test]
     fn fm_detects_simple_contradiction() {
         // x <= 0  and  x >= 1
         let body = PForm::and(vec![
-            PForm::le(v("x")),
-            PForm::le(v("x").scaled(-1).shifted(1)),
+            PForm::le(lin(&[(X, 1)], 0)),
+            PForm::le(lin(&[(X, -1)], 1)),
         ]);
         assert!(fm_unsatisfiable(&body));
     }
@@ -920,8 +833,8 @@ mod tests {
     #[test]
     fn fm_does_not_claim_satisfiable_systems_unsat() {
         let body = PForm::and(vec![
-            PForm::le(v("x").scaled(-1)),   // x >= 0
-            PForm::le(v("x").shifted(-10)), // x <= 10
+            PForm::le(lin(&[(X, -1)], 0)),  // x >= 0
+            PForm::le(lin(&[(X, 1)], -10)), // x <= 10
         ]);
         assert!(!fm_unsatisfiable(&body));
     }
@@ -930,111 +843,95 @@ mod tests {
     fn cooper_decides_satisfiable_sentence() {
         // exists x. x >= 0 /\ x <= 10
         let body = PForm::and(vec![
-            PForm::le(v("x").scaled(-1)),
-            PForm::le(v("x").shifted(-10)),
+            PForm::le(lin(&[(X, -1)], 0)),
+            PForm::le(lin(&[(X, 1)], -10)),
         ]);
-        let sentence = exists_all(&["x"], body);
-        assert_eq!(cooper_decide(&sentence, &BapaLimits::default()), Some(true));
+        let sentence = exists_all(&[X], body);
+        assert_eq!(cooper_decide(&sentence, None), Some(true));
     }
 
     #[test]
     fn cooper_decides_unsatisfiable_sentence() {
         // exists x. x >= 1 /\ x <= 0
         let body = PForm::and(vec![
-            PForm::le(v("x").scaled(-1).shifted(1)),
-            PForm::le(v("x")),
+            PForm::le(lin(&[(X, -1)], 1)),
+            PForm::le(lin(&[(X, 1)], 0)),
         ]);
-        let sentence = exists_all(&["x"], body);
-        assert_eq!(
-            cooper_decide(&sentence, &BapaLimits::default()),
-            Some(false)
-        );
+        let sentence = exists_all(&[X], body);
+        assert_eq!(cooper_decide(&sentence, None), Some(false));
     }
 
     #[test]
     fn cooper_handles_divisibility() {
         // exists x. 0 <= x <= 5 /\ 2 | x /\ 3 | x  -> x = 0 works, satisfiable.
         let body = PForm::and(vec![
-            PForm::le(v("x").scaled(-1)),
-            PForm::le(v("x").shifted(-5)),
-            PForm::Divides(2, v("x")),
-            PForm::Divides(3, v("x")),
+            PForm::le(lin(&[(X, -1)], 0)),
+            PForm::le(lin(&[(X, 1)], -5)),
+            PForm::Divides(2, lin(&[(X, 1)], 0)),
+            PForm::Divides(3, lin(&[(X, 1)], 0)),
         ]);
-        assert_eq!(
-            cooper_decide(&exists_all(&["x"], body), &BapaLimits::default()),
-            Some(true)
-        );
+        assert_eq!(cooper_decide(&exists_all(&[X], body), None), Some(true));
 
         // exists x. 1 <= x <= 5 /\ 2 | x /\ 3 | x  -> needs x = 6, unsatisfiable.
         let body = PForm::and(vec![
-            PForm::le(v("x").scaled(-1).shifted(1)),
-            PForm::le(v("x").shifted(-5)),
-            PForm::Divides(2, v("x")),
-            PForm::Divides(3, v("x")),
+            PForm::le(lin(&[(X, -1)], 1)),
+            PForm::le(lin(&[(X, 1)], -5)),
+            PForm::Divides(2, lin(&[(X, 1)], 0)),
+            PForm::Divides(3, lin(&[(X, 1)], 0)),
         ]);
-        assert_eq!(
-            cooper_decide(&exists_all(&["x"], body), &BapaLimits::default()),
-            Some(false)
-        );
+        assert_eq!(cooper_decide(&exists_all(&[X], body), None), Some(false));
     }
 
     #[test]
     fn cooper_with_two_variables() {
         // exists x y. x = 2y /\ x = 2y + 1  is unsatisfiable.
-        let eq1a = v("x").plus(&v("y").scaled(-2));
-        let eq1b = eq1a.scaled(-1);
-        let eq2a = v("x").plus(&v("y").scaled(-2)).shifted(-1);
-        let eq2b = eq2a.scaled(-1);
         let body = PForm::and(vec![
-            PForm::le(eq1a),
-            PForm::le(eq1b),
-            PForm::le(eq2a),
-            PForm::le(eq2b),
+            PForm::le(lin(&[(X, 1), (Y, -2)], 0)),
+            PForm::le(lin(&[(X, -1), (Y, 2)], 0)),
+            PForm::le(lin(&[(X, 1), (Y, -2)], -1)),
+            PForm::le(lin(&[(X, -1), (Y, 2)], 1)),
         ]);
-        assert_eq!(
-            cooper_decide(&exists_all(&["x", "y"], body), &BapaLimits::default()),
-            Some(false)
-        );
+        assert_eq!(cooper_decide(&exists_all(&[X, Y], body), None), Some(false));
     }
 
     #[test]
     fn cooper_scaled_coefficients() {
         // exists x. 2x >= 3 /\ 2x <= 4  -> x = 2, satisfiable.
         let body = PForm::and(vec![
-            PForm::le(LinExpr::variable("x", -2).shifted(3)),
-            PForm::le(LinExpr::variable("x", 2).shifted(-4)),
+            PForm::le(lin(&[(X, -2)], 3)),
+            PForm::le(lin(&[(X, 2)], -4)),
         ]);
-        assert_eq!(
-            cooper_decide(&exists_all(&["x"], body), &BapaLimits::default()),
-            Some(true)
-        );
+        assert_eq!(cooper_decide(&exists_all(&[X], body), None), Some(true));
 
         // exists x. 2x >= 3 /\ 2x <= 3  -> 2x = 3 has no integer solution.
         let body = PForm::and(vec![
-            PForm::le(LinExpr::variable("x", -2).shifted(3)),
-            PForm::le(LinExpr::variable("x", 2).shifted(-3)),
+            PForm::le(lin(&[(X, -2)], 3)),
+            PForm::le(lin(&[(X, 2)], -3)),
         ]);
-        assert_eq!(
-            cooper_decide(&exists_all(&["x"], body), &BapaLimits::default()),
-            Some(false)
-        );
+        assert_eq!(cooper_decide(&exists_all(&[X], body), None), Some(false));
     }
 
     #[test]
     fn unsatisfiable_combines_both_engines() {
-        // Rationally feasible but integer infeasible: FM cannot refute, Cooper can.
+        // -2x - 3y - 5 <= 0, 3x + 2y + 2 <= 0, -x + 2y + 4 <= 0: rationally
+        // feasible for y in [-2.2, -1.75] (e.g. x = 0.2, y = -2), but no
+        // integer point satisfies it.  FM cannot refute it; Cooper can.
         let body = PForm::and(vec![
-            PForm::le(LinExpr::variable("x", -2).shifted(3)),
-            PForm::le(LinExpr::variable("x", 2).shifted(-3)),
+            PForm::le(lin(&[(X, -2), (Y, -3)], -5)),
+            PForm::le(lin(&[(X, 3), (Y, 2)], 2)),
+            PForm::le(lin(&[(X, -1), (Y, 2)], 4)),
         ]);
-        let sentence = exists_all(&["x"], body);
-        assert!(unsatisfiable(&sentence, &BapaLimits::default()));
+        assert!(!fm_unsatisfiable(&body));
+        let sentence = exists_all(&[X, Y], body);
+        assert_eq!(cooper_decide(&sentence, None), Some(false));
+        assert!(unsatisfiable(&sentence, None));
     }
 
     #[test]
     fn negated_le_tightens_for_integers() {
         // not(x <= 0) became x >= 1 in NNF: so x <= 0 /\ not(x <= 0) is unsat.
-        let body = PForm::and(vec![PForm::le(v("x")), PForm::not(PForm::le(v("x")))]);
+        let x_le_0 = PForm::le(lin(&[(X, 1)], 0));
+        let body = PForm::and(vec![x_le_0.clone(), PForm::not(x_le_0)]);
         assert!(fm_unsatisfiable(&body));
     }
 
@@ -1065,12 +962,8 @@ mod tests {
     #[test]
     fn id_fm_detects_simple_contradiction() {
         // x <= 0  and  x >= 1.
-        let mut le = IdLinExpr::default();
-        le.push_term(0, 1);
-        le.canonicalize();
-        let mut ge = IdLinExpr::constant(1);
-        ge.push_term(0, -1);
-        ge.canonicalize();
+        let le = lin(&[(X, 1)], 0);
+        let ge = lin(&[(X, -1)], 1);
         assert!(id_conjunction_infeasible(&[le.clone(), ge], 20_000));
         assert!(!id_conjunction_infeasible(&[le], 20_000));
     }
@@ -1079,20 +972,17 @@ mod tests {
     fn id_fm_tightens_scaled_constraints() {
         // 2x <= -3 and 2x >= -3: rationally a point, but gcd tightening
         // rounds 2x <= -3 down to x <= -2 and 2x >= -3 up to x >= -1.
-        let mut upper = IdLinExpr::constant(3);
-        upper.push_term(0, 2);
-        upper.canonicalize();
-        let mut lower = IdLinExpr::constant(-3);
-        lower.push_term(0, -2);
-        lower.canonicalize();
+        let upper = lin(&[(X, 2)], 3);
+        let lower = lin(&[(X, -2)], -3);
         assert!(id_conjunction_infeasible(&[upper, lower], 20_000));
     }
 
-    /// The id-keyed conjunction path and the string-keyed DNF path must agree
-    /// on every pure conjunction: the ground solver switched from the latter
-    /// to the former, so a divergence here is a solver soundness bug.
+    /// The direct conjunction path and the NNF/DNF path must agree on every
+    /// pure conjunction: the ground solver uses the former and the Venn
+    /// decisions the latter, so a divergence here is a soundness bug in one
+    /// of them.
     #[test]
-    fn id_fm_agrees_with_string_fm_on_random_conjunctions() {
+    fn conjunction_fm_agrees_with_dnf_fm_on_random_conjunctions() {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -1103,23 +993,19 @@ mod tests {
         for _ in 0..500 {
             let n_constraints = 1 + (next() % 6) as usize;
             let n_vars = 1 + (next() % 4) as usize;
-            let mut id_les = Vec::new();
-            let mut parts = Vec::new();
+            let mut les = Vec::new();
             for _ in 0..n_constraints {
-                let mut id_le = IdLinExpr::constant((next() % 9) as i64 - 4);
-                let mut le = LinExpr::constant(id_le.constant);
+                let mut le = IdLinExpr::constant((next() % 9) as i64 - 4);
                 for var in 0..n_vars {
-                    let coeff = (next() % 7) as i64 - 3;
-                    id_le.push_term(var, coeff);
-                    le.add_var(&format!("t{var}"), coeff);
+                    le.push_term(var, (next() % 7) as i64 - 3);
                 }
-                id_le.canonicalize();
-                id_les.push(id_le);
-                parts.push(PForm::le(le));
+                le.canonicalize();
+                les.push(le);
             }
-            let id_verdict = id_conjunction_infeasible(&id_les, 20_000);
-            let string_verdict = fm_unsatisfiable(&PForm::and(parts));
-            assert_eq!(id_verdict, string_verdict, "diverged on {id_les:?}");
+            let conjunction_verdict = id_conjunction_infeasible(&les, 20_000);
+            let dnf_verdict =
+                fm_unsatisfiable(&PForm::and(les.iter().cloned().map(PForm::le).collect()));
+            assert_eq!(conjunction_verdict, dnf_verdict, "diverged on {les:?}");
         }
     }
 }

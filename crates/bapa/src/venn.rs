@@ -6,95 +6,91 @@
 //! cardinality turns every set-algebra and cardinality atom into linear
 //! arithmetic, after which the sentence is decided by [`crate::presburger`].
 //!
-//! This translator is the remaining client of the *string-keyed* [`LinExpr`]
-//! API: region variables are synthesised names (`venn$r`, `single$e`), not
-//! interned term ids, and the translation is a per-leaf construction rather
-//! than a hot incremental loop.  The ground solver's incremental arithmetic
-//! uses the integer-keyed [`crate::presburger::IdLinExpr`] entry points
-//! instead.
+//! Region `r` lies inside set variable `i` exactly when bit `i` of `r` is
+//! set, and its cardinality is variable id `r` of the resulting
+//! [`IdLinExpr`]s; the formula's integer variables take the ids after the
+//! last region.  A set term denotes a union of regions, kept as a `u64` mask
+//! with bit `r` for region `r`: the cap of six set variables gives at most
+//! 64 regions.
 
+use crate::expired;
 use crate::extract::{BapaForm, IntTerm, SetTerm};
-use crate::presburger::{LinExpr, PForm};
-use crate::BapaLimits;
-use std::collections::BTreeSet;
+use crate::presburger::{IdLinExpr, PForm};
+use std::collections::{BTreeMap, BTreeSet};
+use std::time::Instant;
+
+/// Maximum number of distinct set variables per component: the Venn
+/// construction is exponential in this number, and the region masks are
+/// `u64`s.
+const MAX_SET_VARS: usize = 6;
 
 /// Name of the implicit singleton set for an element variable.
 fn singleton_set(elem: &str) -> String {
     format!("single${elem}")
 }
 
-/// Name of the cardinality variable of a Venn region.
-fn region_var(region: usize) -> String {
-    format!("venn${region}")
-}
-
-/// Context for the translation: the ordered list of set variables.
+/// Context for the translation: the ordered set variables and the ids of
+/// the integer variables.
 struct VennCtx {
     sets: Vec<String>,
-    // Precomputed `venn$r` names: `card` walks every region per set term,
-    // so formatting these on demand dominated the translation.
-    region_names: Vec<String>,
+    ints: BTreeMap<String, usize>,
 }
 
 impl VennCtx {
-    fn new(sets: Vec<String>) -> VennCtx {
-        let region_names = (0..1usize << sets.len()).map(region_var).collect();
-        VennCtx { sets, region_names }
-    }
-
     fn region_count(&self) -> usize {
         1usize << self.sets.len()
     }
 
-    /// Returns `true` if the given region lies inside the denotation of the
-    /// set term (regions are identified by the bitmask of set memberships).
-    fn region_in(&self, region: usize, term: &SetTerm) -> bool {
+    /// The mask of the regions inside a set variable.
+    fn set_mask(&self, name: &str) -> u64 {
+        let idx = self
+            .sets
+            .iter()
+            .position(|s| s == name)
+            .expect("set variable registered during collection");
+        (0..self.region_count())
+            .filter(|region| region & (1 << idx) != 0)
+            .fold(0, |mask, region| mask | 1 << region)
+    }
+
+    /// The mask of the regions inside the denotation of a set term.
+    fn mask(&self, term: &SetTerm) -> u64 {
         match term {
-            SetTerm::Var(name) => {
-                let idx = self
-                    .sets
-                    .iter()
-                    .position(|s| s == name)
-                    .expect("set variable registered during collection");
-                region & (1 << idx) != 0
-            }
-            SetTerm::Empty => false,
-            SetTerm::Singleton(elem) => {
-                let name = singleton_set(elem);
-                let idx = self
-                    .sets
-                    .iter()
-                    .position(|s| s == &name)
-                    .expect("singleton set registered during collection");
-                region & (1 << idx) != 0
-            }
-            SetTerm::Union(a, b) => self.region_in(region, a) || self.region_in(region, b),
-            SetTerm::Inter(a, b) => self.region_in(region, a) && self.region_in(region, b),
-            SetTerm::Diff(a, b) => self.region_in(region, a) && !self.region_in(region, b),
+            SetTerm::Var(name) => self.set_mask(name),
+            SetTerm::Empty => 0,
+            SetTerm::Singleton(elem) => self.set_mask(&singleton_set(elem)),
+            SetTerm::Union(a, b) => self.mask(a) | self.mask(b),
+            SetTerm::Inter(a, b) => self.mask(a) & self.mask(b),
+            SetTerm::Diff(a, b) => self.mask(a) & !self.mask(b),
         }
     }
 
     /// The cardinality of a set term as a linear expression over region vars.
-    fn card(&self, term: &SetTerm) -> LinExpr {
-        let mut expr = LinExpr::constant(0);
-        for region in 1..self.region_count() {
-            // Region 0 (outside every set) never contributes to any card.
-            if self.region_in(region, term) {
-                expr.add_var(&self.region_names[region], 1);
+    fn card(&self, term: &SetTerm) -> IdLinExpr {
+        let mask = self.mask(term);
+        let mut expr = IdLinExpr::default();
+        for region in 0..self.region_count() {
+            if mask & (1 << region) != 0 {
+                expr.push_term(region, 1);
             }
         }
         expr
     }
 
-    fn int_term(&self, term: &IntTerm) -> LinExpr {
+    fn int_term(&self, term: &IntTerm) -> IdLinExpr {
         match term {
-            IntTerm::Const(value) => LinExpr::constant(*value),
-            IntTerm::Var(name) => LinExpr::variable(name, 1),
+            IntTerm::Const(value) => IdLinExpr::constant(*value),
+            IntTerm::Var(name) => IdLinExpr::variable(self.ints[name], 1),
             IntTerm::Card(set) => self.card(set),
-            IntTerm::Add(a, b) => self.int_term(a).plus(&self.int_term(b)),
-            IntTerm::Sub(a, b) => self.int_term(a).plus(&self.int_term(b).scaled(-1)),
-            IntTerm::MulConst(k, a) => self.int_term(a).scaled(*k),
+            IntTerm::Add(a, b) => self.int_term(a).plus(&self.int_term(b), 1),
+            IntTerm::Sub(a, b) => self.int_term(a).plus(&self.int_term(b), -1),
+            IntTerm::MulConst(k, a) => IdLinExpr::default().plus(&self.int_term(a), *k),
         }
+    }
+
+    /// `a - b` as a linear expression.
+    fn diff(&self, a: &IntTerm, b: &IntTerm) -> IdLinExpr {
+        self.int_term(a).plus(&self.int_term(b), -1)
     }
 
     fn form(&self, form: &BapaForm) -> PForm {
@@ -105,31 +101,26 @@ impl VennCtx {
             BapaForm::And(parts) => PForm::and(parts.iter().map(|p| self.form(p)).collect()),
             BapaForm::Or(parts) => PForm::or(parts.iter().map(|p| self.form(p)).collect()),
             // a <= b  <=>  a - b <= 0
-            BapaForm::IntLe(a, b) => PForm::le(self.int_term(a).plus(&self.int_term(b).scaled(-1))),
+            BapaForm::IntLe(a, b) => PForm::le(self.diff(a, b)),
             // a < b  <=>  a - b + 1 <= 0 (integers)
-            BapaForm::IntLt(a, b) => PForm::le(
-                self.int_term(a)
-                    .plus(&self.int_term(b).scaled(-1))
-                    .shifted(1),
-            ),
-            BapaForm::IntEq(a, b) => {
-                let diff = self.int_term(a).plus(&self.int_term(b).scaled(-1));
-                PForm::and(vec![PForm::le(diff.clone()), PForm::le(diff.scaled(-1))])
+            BapaForm::IntLt(a, b) => {
+                let mut diff = self.diff(a, b);
+                diff.shift(1);
+                PForm::le(diff)
             }
+            BapaForm::IntEq(a, b) => equals_zero(self.diff(a, b)),
             // A = B  <=>  |A \ B| + |B \ A| = 0
             BapaForm::SetEq(a, b) => {
                 let sym_diff = SetTerm::Union(
                     Box::new(SetTerm::Diff(Box::new(a.clone()), Box::new(b.clone()))),
                     Box::new(SetTerm::Diff(Box::new(b.clone()), Box::new(a.clone()))),
                 );
-                let card = self.card(&sym_diff);
-                PForm::and(vec![PForm::le(card.clone()), PForm::le(card.scaled(-1))])
+                equals_zero(self.card(&sym_diff))
             }
             // A subseteq B  <=>  |A \ B| = 0
             BapaForm::Subset(a, b) => {
                 let diff = SetTerm::Diff(Box::new(a.clone()), Box::new(b.clone()));
-                let card = self.card(&diff);
-                PForm::and(vec![PForm::le(card.clone()), PForm::le(card.scaled(-1))])
+                equals_zero(self.card(&diff))
             }
             // x in S  <=>  |single$x \ S| = 0 (with the global |single$x| = 1)
             BapaForm::Member(elem, set) => {
@@ -137,8 +128,7 @@ impl VennCtx {
                     Box::new(SetTerm::Singleton(elem.clone())),
                     Box::new(set.clone()),
                 );
-                let card = self.card(&diff);
-                PForm::and(vec![PForm::le(card.clone()), PForm::le(card.scaled(-1))])
+                equals_zero(self.card(&diff))
             }
             // x = y  <=>  single$x = single$y
             BapaForm::ElemEq(a, b) => self.form(&BapaForm::SetEq(
@@ -147,6 +137,12 @@ impl VennCtx {
             )),
         }
     }
+}
+
+/// `expr = 0` as `expr <= 0 /\ -expr <= 0`.
+fn equals_zero(expr: IdLinExpr) -> PForm {
+    let negated = IdLinExpr::default().plus(&expr, -1);
+    PForm::and(vec![PForm::le(expr), PForm::le(negated)])
 }
 
 /// Splits the conjuncts of a BAPA conjunction into connected components of
@@ -160,7 +156,6 @@ impl VennCtx {
 /// when every component is satisfiable on its own universe.  Returned indices
 /// partition `parts`.
 pub fn components(parts: &[BapaForm]) -> Vec<Vec<usize>> {
-    use std::collections::BTreeMap;
     // Union-find over conjunct indices.
     let mut parent: Vec<usize> = (0..parts.len()).collect();
     fn find(parent: &mut [usize], mut i: usize) -> usize {
@@ -220,16 +215,16 @@ pub fn conjuncts(form: &BapaForm) -> Vec<BapaForm> {
 /// Checks unsatisfiability of a conjunction of BAPA formulas by solving each
 /// shared-variable connected component independently.
 ///
-/// A component whose set-variable count exceeds the limit is skipped (it can
-/// neither prove nor disprove unsatisfiability on its own), so the check
-/// degrades gracefully instead of giving up on the whole conjunction the way
-/// the monolithic translation did.
-pub fn conjunction_unsatisfiable(parts: &[BapaForm], limits: &BapaLimits) -> bool {
+/// A component with more than six set variables is skipped (it can neither
+/// prove nor disprove unsatisfiability on its own), so the check degrades
+/// gracefully instead of giving up on the whole conjunction.  So is every
+/// component left when the deadline passes.
+pub fn conjunction_unsatisfiable(parts: &[BapaForm], deadline: Option<Instant>) -> bool {
     for component in components(parts) {
-        if limits.expired() {
+        if expired(deadline) {
             return false;
         }
-        if component_unsatisfiable(parts, &component, limits) {
+        if component_unsatisfiable(parts, &component, deadline) {
             return true;
         }
     }
@@ -242,11 +237,11 @@ pub fn conjunction_unsatisfiable(parts: &[BapaForm], limits: &BapaLimits) -> boo
 pub fn component_unsatisfiable(
     parts: &[BapaForm],
     component: &[usize],
-    limits: &BapaLimits,
+    deadline: Option<Instant>,
 ) -> bool {
     let formula = BapaForm::and(component.iter().map(|&i| parts[i].clone()).collect());
-    match to_presburger(&formula, limits) {
-        Some(sentence) => crate::presburger::unsatisfiable(&sentence, limits),
+    match to_presburger(&formula) {
+        Some(sentence) => crate::presburger::unsatisfiable(&sentence, deadline),
         None => false,
     }
 }
@@ -254,9 +249,9 @@ pub fn component_unsatisfiable(
 /// Translates a BAPA formula into an existentially closed Presburger sentence
 /// whose satisfiability coincides with the satisfiability of the input.
 ///
-/// Returns `None` when the number of set variables exceeds the configured
-/// limit (the Venn construction is exponential in that number).
-pub fn to_presburger(form: &BapaForm, limits: &BapaLimits) -> Option<PForm> {
+/// Returns `None` when the formula has more than six set variables (the Venn
+/// construction is exponential in that number).
+pub fn to_presburger(form: &BapaForm) -> Option<PForm> {
     let mut set_names: BTreeSet<String> = BTreeSet::new();
     form.set_vars(&mut set_names);
     let mut elem_names: BTreeSet<String> = BTreeSet::new();
@@ -264,27 +259,34 @@ pub fn to_presburger(form: &BapaForm, limits: &BapaLimits) -> Option<PForm> {
     for elem in &elem_names {
         set_names.insert(singleton_set(elem));
     }
-    if set_names.len() > limits.max_set_vars {
+    if set_names.len() > MAX_SET_VARS {
         return None;
     }
-    let ctx = VennCtx::new(set_names.into_iter().collect());
+    let region_count = 1usize << set_names.len();
+    let mut int_names: BTreeSet<String> = BTreeSet::new();
+    form.int_vars(&mut int_names);
+    let ctx = VennCtx {
+        sets: set_names.into_iter().collect(),
+        ints: int_names.into_iter().zip(region_count..).collect(),
+    };
 
     let mut conjuncts = Vec::new();
-    // Region cardinalities are non-negative.
-    for region in 1..ctx.region_count() {
-        conjuncts.push(PForm::le(LinExpr::variable(&ctx.region_names[region], -1)));
+    // Region cardinalities are non-negative.  Region 0 lies outside every
+    // set, so no cardinality mentions it.
+    for region in 1..region_count {
+        conjuncts.push(PForm::le(IdLinExpr::variable(region, -1)));
     }
     // Every element variable denotes exactly one element: |single$x| = 1.
     for elem in &elem_names {
-        let card = ctx.card(&SetTerm::Singleton(elem.clone()));
-        conjuncts.push(PForm::le(card.clone().shifted(-1)));
-        conjuncts.push(PForm::le(card.scaled(-1).shifted(1)));
+        let mut card = ctx.card(&SetTerm::Singleton(elem.clone()));
+        card.shift(-1);
+        conjuncts.push(equals_zero(card));
     }
     conjuncts.push(ctx.form(form));
     let body = PForm::and(conjuncts);
 
     // Existentially close over every variable (region vars and free int vars).
-    let mut vars: BTreeSet<String> = BTreeSet::new();
+    let mut vars: BTreeSet<usize> = BTreeSet::new();
     body.collect_vars(&mut vars);
     let mut sentence = body;
     for var in vars {
@@ -303,8 +305,8 @@ mod tests {
     fn unsat(input: &str) -> bool {
         let form = parse_form(input).unwrap();
         let bapa = extract(&form).expect("formula in fragment");
-        let sentence = to_presburger(&bapa, &BapaLimits::default()).expect("within limits");
-        unsatisfiable(&sentence, &BapaLimits::default())
+        let sentence = to_presburger(&bapa).expect("within limits");
+        unsatisfiable(&sentence, None)
     }
 
     #[test]
@@ -330,7 +332,22 @@ mod tests {
             parse_form("card(a union b union c union d union e union f union g union h) = 0")
                 .unwrap();
         let bapa = extract(&form).unwrap();
-        assert!(to_presburger(&bapa, &BapaLimits::default()).is_none());
+        assert!(to_presburger(&bapa).is_none());
+    }
+
+    #[test]
+    fn six_set_variables_fill_the_region_mask() {
+        // 64 regions: every bit of the mask.  The intersection of all six
+        // sets is region 63, the top bit.
+        let six = "a union b union c union d union e union f";
+        assert!(unsat(&format!(
+            "~(card({six}) <= card(a) + card(b) + card(c) + card(d) + card(e) + card(f))"
+        )));
+        assert!(unsat(&format!("card({six}) = 0 & card(f) = 1")));
+        assert!(!unsat(&format!("card({six}) = 1 & card(f) = 1")));
+        assert!(!unsat(
+            "card(a inter b inter c inter d inter e inter f) = 1"
+        ));
     }
 
     #[test]

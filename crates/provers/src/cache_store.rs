@@ -1,13 +1,13 @@
 //! The persistent proof store: an on-disk, append-only log of proved
 //! sequent fingerprints.
 //!
-//! The in-memory [`ProofCache`](crate::cache::ProofCache) answers repeat
-//! dispatches for free *within* one process; this module makes the cache
-//! outlive the process, so that a warm re-run of an unchanged module — a CI
-//! job on an untouched branch, the second keystroke in an editor session —
-//! costs only the front-end plus one hash lookup per sequent.  The design
-//! follows the prove-once/check-cheaply asymmetry: proving a sequent is
-//! expensive, replaying its 128-bit content fingerprint is a set probe.
+//! The in-memory [`ProofCache`] answers repeat dispatches for free *within*
+//! one process; this module makes the cache outlive the process, so that a
+//! warm re-run of an unchanged module — a CI job on an untouched branch, the
+//! second keystroke in an editor session — costs only the front-end plus one
+//! hash lookup per sequent.  The design follows the prove-once/check-cheaply
+//! asymmetry: proving a sequent is expensive, replaying its 128-bit content
+//! fingerprint is a set probe.
 //!
 //! ## File format
 //!
@@ -442,7 +442,7 @@ impl CacheStore {
     /// ranges, via write-to-temp + atomic rename, bumping the generation
     /// stamp.  The handle's index swaps to the compacted contents without a
     /// rescan.  Handles in other processes detect the swapped inode on
-    /// their next append ([`Self::reopen_if_stale`]); their indexes stay
+    /// their next append (`reopen_if_stale`); their indexes stay
     /// valid because compaction only drops duplicates, never live
     /// fingerprints.
     ///

@@ -3,10 +3,10 @@
 //! A single panicking prover stage used to take the whole `verify_module`
 //! run down with it (and, under the parallel driver, to kill one worker
 //! thread so `--jobs N` silently degraded to `N-1`).  [`contain`] wraps a
-//! dispatch in [`std::panic::catch_unwind`] behind an
-//! [`AssertUnwindSafe`](std::panic::AssertUnwindSafe) boundary and converts
-//! an escaped panic into an error message, so the caller can quarantine the
-//! one faulted sequent and let the rest of the run complete.
+//! dispatch in [`std::panic::catch_unwind`] behind an [`AssertUnwindSafe`]
+//! boundary and converts an escaped panic into an error message, so the
+//! caller can quarantine the one faulted sequent and let the rest of the run
+//! complete.
 //!
 //! The boundary is sound to assert: every solver builds its search state
 //! fresh per call (the `Solver`, congruence closure, theory stacks all live

@@ -11,10 +11,11 @@
 //! starts, so a drain that begins *mid-request* cannot be expressed through
 //! it.  Instead the cascade's `deadline_passed` check (consulted before
 //! dispatching each sequent, before each retry rung, and before each stage)
-//! also consults this module, and each stage's cooperative [`Cancel`]
-//! deadline is clamped to the drain deadline via [`clamp`].  The same
-//! degrade-only invariant the fault plan obeys holds here: a drain can only
-//! turn would-be answers into `Skipped`, never fabricate a `Proved`.
+//! also consults this module, and each stage's cooperative
+//! [`Cancel`](crate::Cancel) deadline is clamped to the drain deadline via
+//! [`clamp`].  The same degrade-only invariant the fault plan obeys holds
+//! here: a drain can only turn would-be answers into `Skipped`, never
+//! fabricate a `Proved`.
 //!
 //! Like [`crate::fault`]'s plan, the state is process-global with an atomic
 //! fast path: `deadline_passed` is on the per-stage hot path and must cost

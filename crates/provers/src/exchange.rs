@@ -24,9 +24,8 @@
 
 use crate::cc::Congruence;
 use ipl_bapa::incremental::{BapaCheck, IncrementalBapa};
-use ipl_bapa::BapaLimits;
 use ipl_logic::Form;
-use ipl_shape::{ShapeLimits, ShapeOutcome};
+use ipl_shape::ShapeOutcome;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -99,16 +98,17 @@ pub trait TheoryExchange: std::fmt::Debug {
 }
 
 /// The BAPA cardinality procedure as a tableau theory.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BapaExchange {
     bapa: IncrementalBapa,
 }
 
 impl BapaExchange {
-    /// Creates the theory with the given BAPA limits.
-    pub fn new(limits: BapaLimits) -> Self {
+    /// Creates the theory; its Venn and Presburger decisions give up at
+    /// `deadline`.
+    pub fn new(deadline: Option<Instant>) -> Self {
         BapaExchange {
-            bapa: IncrementalBapa::new(limits),
+            bapa: IncrementalBapa::new(deadline),
         }
     }
 
@@ -268,7 +268,8 @@ impl TheoryExchange for BapaExchange {
 /// whether the stack alone is contradictory.  It exports no facts.
 #[derive(Debug)]
 pub struct ShapeExchange {
-    limits: ShapeLimits,
+    /// The saturation gives up once this passes.
+    deadline: Option<Instant>,
     /// The branch literals in the fragment, in assertion order.
     literals: Vec<Form>,
     /// Length of `literals` at each open scope.
@@ -279,10 +280,7 @@ impl ShapeExchange {
     /// Creates the theory; its saturation gives up at `deadline`.
     pub fn new(deadline: Option<Instant>) -> Self {
         ShapeExchange {
-            limits: ShapeLimits {
-                deadline,
-                ..ShapeLimits::default()
-            },
+            deadline,
             literals: Vec::new(),
             marks: Vec::new(),
         }
@@ -350,7 +348,7 @@ impl TheoryExchange for ShapeExchange {
 
     fn check(&mut self, _cc: &mut Congruence, _budget: &mut ExchangeBudget) -> TheoryResult {
         if self.is_active()
-            && ipl_shape::prove_valid(&self.literals, &Form::FALSE, &self.limits)
+            && ipl_shape::prove_valid(&self.literals, &Form::FALSE, self.deadline)
                 == ShapeOutcome::Valid
         {
             return TheoryResult::Conflict;
@@ -383,7 +381,7 @@ mod tests {
         cc.assert_eq(&f("a"), &f("b"));
         cc.assert_eq(&f("g(a)"), &f("s"));
         cc.assert_eq(&f("g(b)"), &f("t"));
-        let mut theory = BapaExchange::default();
+        let mut theory = BapaExchange::new(None);
         theory.assert_literal(&f("card(s) = 0"));
         theory.assert_literal(&f("x in t"));
         let result = theory.check(&mut cc, &mut budget());
@@ -393,7 +391,7 @@ mod tests {
     #[test]
     fn entailed_emptiness_is_exported_to_the_ground_core() {
         let mut cc = Congruence::new();
-        let mut theory = BapaExchange::default();
+        let mut theory = BapaExchange::new(None);
         theory.assert_literal(&f("card(s) = 0"));
         let TheoryResult::Facts(facts) = theory.check(&mut cc, &mut budget()) else {
             panic!("no conflict expected");
@@ -407,7 +405,7 @@ mod tests {
     #[test]
     fn entailed_singleton_cardinality_is_exported() {
         let mut cc = Congruence::new();
-        let mut theory = BapaExchange::default();
+        let mut theory = BapaExchange::new(None);
         theory.assert_literal(&f("s = {x}"));
         theory.assert_literal(&f("card(s) <= n"));
         let TheoryResult::Facts(facts) = theory.check(&mut cc, &mut budget()) else {
@@ -425,7 +423,7 @@ mod tests {
         // cardinality at least two.
         let mut cc = Congruence::new();
         cc.assert_neq(&f("x"), &f("y"));
-        let mut theory = BapaExchange::default();
+        let mut theory = BapaExchange::new(None);
         theory.assert_literal(&f("x in s"));
         theory.assert_literal(&f("y in s"));
         theory.assert_literal(&f("card(s) <= 1"));
@@ -436,7 +434,7 @@ mod tests {
     #[test]
     fn budget_exhaustion_stops_entailment_queries() {
         let mut cc = Congruence::new();
-        let mut theory = BapaExchange::default();
+        let mut theory = BapaExchange::new(None);
         theory.assert_literal(&f("card(s) = 0"));
         let mut budget = ExchangeBudget {
             leaf_checks: 1,
@@ -451,7 +449,7 @@ mod tests {
     #[test]
     fn push_pop_restores_theory_state() {
         let mut cc = Congruence::new();
-        let mut theory = BapaExchange::default();
+        let mut theory = BapaExchange::new(None);
         theory.assert_literal(&f("x in s"));
         theory.push();
         theory.assert_literal(&f("card(s) = 0"));
@@ -464,6 +462,36 @@ mod tests {
             theory.check(&mut cc, &mut budget()),
             TheoryResult::Facts(_)
         ));
+    }
+
+    #[test]
+    fn theories_give_up_once_the_deadline_has_passed() {
+        let bapa_atoms = ["x in s", "card(s) = 0"];
+        let shape_atoms = [
+            "reach(next, first, a)",
+            "a.next = b",
+            "~reach(next, first, b)",
+        ];
+        let passed = Some(Instant::now());
+        for (deadline, refuted) in [(None, true), (passed, false)] {
+            let mut cc = Congruence::new();
+            let mut theories: [(Box<dyn TheoryExchange>, &[&str]); 2] = [
+                (Box::new(BapaExchange::new(deadline)), &bapa_atoms),
+                (Box::new(ShapeExchange::new(deadline)), &shape_atoms),
+            ];
+            for (theory, atoms) in &mut theories {
+                for atom in atoms.iter() {
+                    assert!(theory.assert_literal(&f(atom)), "{atom}");
+                }
+                let result = theory.check(&mut cc, &mut budget());
+                assert_eq!(
+                    matches!(result, TheoryResult::Conflict),
+                    refuted,
+                    "{} with deadline {deadline:?}: {result:?}",
+                    theory.name()
+                );
+            }
+        }
     }
 
     #[test]

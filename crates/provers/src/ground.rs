@@ -47,8 +47,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Constraint-count give-up cap of the Fourier–Motzkin refutation, matching
-/// the cap `fm_unsatisfiable` applies per DNF conjunct so the id-keyed path
-/// gives the same verdicts as the string-keyed one it replaced.
+/// the cap `fm_unsatisfiable` applies per DNF conjunct so the ground solver
+/// and the Venn decisions give up at the same size.
 const FM_MAX_CONSTRAINTS: usize = 20_000;
 
 /// Base interval (in conflicts) of the Luby restart sequence.
@@ -360,7 +360,7 @@ impl<'a> Solver<'a> {
     fn new(env: &'a SortEnv, config: &ProverConfig, cancel: &'a Cancel) -> Self {
         let theories: Vec<Box<dyn TheoryExchange>> = if config.exchange.enabled {
             vec![
-                Box::new(BapaExchange::default()),
+                Box::new(BapaExchange::new(cancel.deadline())),
                 Box::new(ShapeExchange::new(cancel.deadline())),
             ]
         } else {

@@ -102,8 +102,8 @@ impl Cancel {
         self
     }
 
-    /// The deadline of this token, for handing down to sub-solvers with
-    /// their own limit structures (e.g. `ShapeLimits::deadline`).
+    /// The deadline of this token, for handing down to the theory solvers
+    /// (`BapaExchange::new`, `ShapeExchange::new`), which poll it themselves.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
     }

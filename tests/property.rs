@@ -20,8 +20,8 @@ use ipl::logic::subst::{free_vars, substitute_one};
 use ipl::logic::Form;
 use ipl_bapa::extract::Extractor;
 use ipl_bapa::incremental::{BapaCheck, IncrementalBapa};
-use ipl_bapa::presburger::{cooper_decide, fm_unsatisfiable, LinExpr, PForm};
-use ipl_bapa::{venn, BapaLimits};
+use ipl_bapa::presburger::{cooper_decide, fm_unsatisfiable, IdLinExpr, PForm};
+use ipl_bapa::venn;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -305,7 +305,7 @@ proptest! {
             }
         }
         let one_shot =
-            ipl::bapa::prove_valid(&accepted, &Form::FALSE, &BapaLimits::default());
+            ipl::bapa::prove_valid(&accepted, &Form::FALSE, None);
         let incremental = engine.check();
         prop_assert_eq!(
             incremental == BapaCheck::Unsat,
@@ -317,24 +317,21 @@ proptest! {
     fn fm_refutation_agrees_with_cooper(
         coeffs in prop::collection::vec((-3i64..4, -3i64..4, -6i64..7), 1..5)
     ) {
-        // Random conjunctions  c1*x + c2*y + k <= 0.
+        // Random conjunctions  c1*x + c2*y + k <= 0  over x = 0, y = 1.
         let body = PForm::and(
             coeffs
                 .iter()
                 .map(|(cx, cy, k)| {
-                    let expr = LinExpr::variable("x", *cx)
-                        .plus(&LinExpr::variable("y", *cy))
-                        .shifted(*k);
+                    let expr = IdLinExpr::variable(0, *cx)
+                        .plus(&IdLinExpr::variable(1, *cy), 1)
+                        .plus(&IdLinExpr::constant(*k), 1);
                     PForm::le(expr)
                 })
                 .collect(),
         );
-        let sentence = PForm::Exists(
-            "x".to_string(),
-            Box::new(PForm::Exists("y".to_string(), Box::new(body.clone()))),
-        );
+        let sentence = PForm::Exists(0, Box::new(PForm::Exists(1, Box::new(body.clone()))));
         let fm_says_unsat = fm_unsatisfiable(&body);
-        if let Some(satisfiable) = cooper_decide(&sentence, &BapaLimits::default()) {
+        if let Some(satisfiable) = cooper_decide(&sentence, None) {
             if fm_says_unsat {
                 // FM refutation is sound, so Cooper must agree.
                 prop_assert!(!satisfiable, "FM claims unsat but Cooper found a model: {body:?}");
