@@ -19,10 +19,14 @@
 //! 2. [`venn`] introduces one non-negative integer variable per Venn region of
 //!    the set variables and rewrites every cardinality and set-algebra atom
 //!    into linear arithmetic over those variables.
-//! 3. [`presburger`] decides the resulting Presburger sentence.  A sound
-//!    Fourier–Motzkin refutation runs first on every sentence; when it fails
-//!    and the sentence has at most six variables, Cooper's complete
-//!    quantifier-elimination algorithm decides it.
+//! 3. [`presburger`] decides the resulting Presburger sentence.
+//!    Fourier–Motzkin elimination runs first on every sentence: it either
+//!    refutes it, or back-substitutes an integer point that is accepted as a
+//!    witness of satisfiability once the whole sentence body evaluates to
+//!    true at it.  Only when it does neither, and the sentence has at most
+//!    six variables, does Cooper's complete quantifier-elimination algorithm
+//!    decide it.  All arithmetic is checked: an `i64` overflow gives up
+//!    instead of wrapping.
 //!
 //! The ground solver reaches this pipeline through [`IncrementalBapa`].
 //! [`prove_valid`] is the one-shot reference: it checks validity of

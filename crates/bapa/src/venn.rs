@@ -77,50 +77,55 @@ impl VennCtx {
         expr
     }
 
-    fn int_term(&self, term: &IntTerm) -> IdLinExpr {
-        match term {
+    /// An integer term as a linear expression; `None` on overflow.
+    fn int_term(&self, term: &IntTerm) -> Option<IdLinExpr> {
+        Some(match term {
             IntTerm::Const(value) => IdLinExpr::constant(*value),
             IntTerm::Var(name) => IdLinExpr::variable(self.ints[name], 1),
             IntTerm::Card(set) => self.card(set),
-            IntTerm::Add(a, b) => self.int_term(a).plus(&self.int_term(b), 1),
-            IntTerm::Sub(a, b) => self.int_term(a).plus(&self.int_term(b), -1),
-            IntTerm::MulConst(k, a) => IdLinExpr::default().plus(&self.int_term(a), *k),
-        }
+            IntTerm::Add(a, b) => self.int_term(a)?.plus(&self.int_term(b)?, 1)?,
+            IntTerm::Sub(a, b) => self.diff(a, b)?,
+            IntTerm::MulConst(k, a) => IdLinExpr::default().plus(&self.int_term(a)?, *k)?,
+        })
     }
 
-    /// `a - b` as a linear expression.
-    fn diff(&self, a: &IntTerm, b: &IntTerm) -> IdLinExpr {
-        self.int_term(a).plus(&self.int_term(b), -1)
+    /// `a - b` as a linear expression; `None` on overflow.
+    fn diff(&self, a: &IntTerm, b: &IntTerm) -> Option<IdLinExpr> {
+        self.int_term(a)?.plus(&self.int_term(b)?, -1)
     }
 
-    fn form(&self, form: &BapaForm) -> PForm {
-        match form {
+    /// The formula over region and integer variables; `None` on overflow.
+    fn form(&self, form: &BapaForm) -> Option<PForm> {
+        let convert_all = |parts: &[BapaForm]| -> Option<Vec<PForm>> {
+            parts.iter().map(|p| self.form(p)).collect()
+        };
+        Some(match form {
             BapaForm::True => PForm::True,
             BapaForm::False => PForm::False,
-            BapaForm::Not(inner) => PForm::not(self.form(inner)),
-            BapaForm::And(parts) => PForm::and(parts.iter().map(|p| self.form(p)).collect()),
-            BapaForm::Or(parts) => PForm::or(parts.iter().map(|p| self.form(p)).collect()),
+            BapaForm::Not(inner) => PForm::not(self.form(inner)?),
+            BapaForm::And(parts) => PForm::and(convert_all(parts)?),
+            BapaForm::Or(parts) => PForm::or(convert_all(parts)?),
             // a <= b  <=>  a - b <= 0
-            BapaForm::IntLe(a, b) => PForm::le(self.diff(a, b)),
+            BapaForm::IntLe(a, b) => PForm::le(self.diff(a, b)?),
             // a < b  <=>  a - b + 1 <= 0 (integers)
             BapaForm::IntLt(a, b) => {
-                let mut diff = self.diff(a, b);
-                diff.shift(1);
+                let mut diff = self.diff(a, b)?;
+                diff.shift(1)?;
                 PForm::le(diff)
             }
-            BapaForm::IntEq(a, b) => equals_zero(self.diff(a, b)),
+            BapaForm::IntEq(a, b) => equals_zero(self.diff(a, b)?)?,
             // A = B  <=>  |A \ B| + |B \ A| = 0
             BapaForm::SetEq(a, b) => {
                 let sym_diff = SetTerm::Union(
                     Box::new(SetTerm::Diff(Box::new(a.clone()), Box::new(b.clone()))),
                     Box::new(SetTerm::Diff(Box::new(b.clone()), Box::new(a.clone()))),
                 );
-                equals_zero(self.card(&sym_diff))
+                equals_zero(self.card(&sym_diff))?
             }
             // A subseteq B  <=>  |A \ B| = 0
             BapaForm::Subset(a, b) => {
                 let diff = SetTerm::Diff(Box::new(a.clone()), Box::new(b.clone()));
-                equals_zero(self.card(&diff))
+                equals_zero(self.card(&diff))?
             }
             // x in S  <=>  |single$x \ S| = 0 (with the global |single$x| = 1)
             BapaForm::Member(elem, set) => {
@@ -128,21 +133,21 @@ impl VennCtx {
                     Box::new(SetTerm::Singleton(elem.clone())),
                     Box::new(set.clone()),
                 );
-                equals_zero(self.card(&diff))
+                equals_zero(self.card(&diff))?
             }
             // x = y  <=>  single$x = single$y
             BapaForm::ElemEq(a, b) => self.form(&BapaForm::SetEq(
                 SetTerm::Singleton(a.clone()),
                 SetTerm::Singleton(b.clone()),
-            )),
-        }
+            ))?,
+        })
     }
 }
 
-/// `expr = 0` as `expr <= 0 /\ -expr <= 0`.
-fn equals_zero(expr: IdLinExpr) -> PForm {
-    let negated = IdLinExpr::default().plus(&expr, -1);
-    PForm::and(vec![PForm::le(expr), PForm::le(negated)])
+/// `expr = 0` as `expr <= 0 /\ -expr <= 0`; `None` on overflow.
+fn equals_zero(expr: IdLinExpr) -> Option<PForm> {
+    let negated = IdLinExpr::default().plus(&expr, -1)?;
+    Some(PForm::and(vec![PForm::le(expr), PForm::le(negated)]))
 }
 
 /// Splits the conjuncts of a BAPA conjunction into connected components of
@@ -250,7 +255,7 @@ pub fn component_unsatisfiable(
 /// whose satisfiability coincides with the satisfiability of the input.
 ///
 /// Returns `None` when the formula has more than six set variables (the Venn
-/// construction is exponential in that number).
+/// construction is exponential in that number) or its arithmetic overflows.
 pub fn to_presburger(form: &BapaForm) -> Option<PForm> {
     let mut set_names: BTreeSet<String> = BTreeSet::new();
     form.set_vars(&mut set_names);
@@ -279,10 +284,10 @@ pub fn to_presburger(form: &BapaForm) -> Option<PForm> {
     // Every element variable denotes exactly one element: |single$x| = 1.
     for elem in &elem_names {
         let mut card = ctx.card(&SetTerm::Singleton(elem.clone()));
-        card.shift(-1);
-        conjuncts.push(equals_zero(card));
+        card.shift(-1)?;
+        conjuncts.push(equals_zero(card)?);
     }
-    conjuncts.push(ctx.form(form));
+    conjuncts.push(ctx.form(form)?);
     let body = PForm::and(conjuncts);
 
     // Existentially close over every variable (region vars and free int vars).
@@ -333,6 +338,12 @@ mod tests {
                 .unwrap();
         let bapa = extract(&form).unwrap();
         assert!(to_presburger(&bapa).is_none());
+    }
+
+    #[test]
+    fn overflowing_arithmetic_bails_out() {
+        let form = parse_form("card(s) = 4611686018427387904 * (4 * n)").unwrap();
+        assert!(to_presburger(&extract(&form).unwrap()).is_none());
     }
 
     #[test]

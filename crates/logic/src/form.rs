@@ -247,38 +247,40 @@ impl Form {
         }
     }
 
-    /// Integer addition with constant folding.
+    /// Integer addition with constant folding (skipped on `i64` overflow).
     // Associated smart constructor named after the connective, not an operator
     // on self; implementing the std::ops trait would change every call site.
     #[allow(clippy::should_implement_trait)]
     pub fn add(lhs: Form, rhs: Form) -> Form {
         match (&lhs, &rhs) {
-            (Form::Int(a), Form::Int(b)) => Form::Int(a + b),
+            (Form::Int(a), Form::Int(b)) if a.checked_add(*b).is_some() => Form::Int(a + b),
             (Form::Int(0), _) => rhs,
             (_, Form::Int(0)) => lhs,
             _ => Form::Add(Arc::new(lhs), Arc::new(rhs)),
         }
     }
 
-    /// Integer subtraction with constant folding.
+    /// Integer subtraction with constant folding (skipped on `i64`
+    /// overflow).
     // Associated smart constructor named after the connective, not an operator
     // on self; implementing the std::ops trait would change every call site.
     #[allow(clippy::should_implement_trait)]
     pub fn sub(lhs: Form, rhs: Form) -> Form {
         match (&lhs, &rhs) {
-            (Form::Int(a), Form::Int(b)) => Form::Int(a - b),
+            (Form::Int(a), Form::Int(b)) if a.checked_sub(*b).is_some() => Form::Int(a - b),
             (_, Form::Int(0)) => lhs,
             _ => Form::Sub(Arc::new(lhs), Arc::new(rhs)),
         }
     }
 
-    /// Integer multiplication with constant folding.
+    /// Integer multiplication with constant folding (skipped on `i64`
+    /// overflow).
     // Associated smart constructor named after the connective, not an operator
     // on self; implementing the std::ops trait would change every call site.
     #[allow(clippy::should_implement_trait)]
     pub fn mul(lhs: Form, rhs: Form) -> Form {
         match (&lhs, &rhs) {
-            (Form::Int(a), Form::Int(b)) => Form::Int(a * b),
+            (Form::Int(a), Form::Int(b)) if a.checked_mul(*b).is_some() => Form::Int(a * b),
             (Form::Int(1), _) => rhs,
             (_, Form::Int(1)) => lhs,
             (Form::Int(0), _) | (_, Form::Int(0)) => Form::Int(0),
@@ -528,6 +530,19 @@ mod tests {
             Form::implies(Form::var("a"), Form::FALSE),
             Form::Not(Arc::new(Form::var("a")))
         );
+    }
+
+    #[test]
+    fn constant_folding_stops_at_overflow() {
+        assert_eq!(Form::mul(Form::int(6), Form::int(7)), Form::int(42));
+        let big = Form::int(i64::MAX);
+        for folded in [
+            Form::add(big.clone(), Form::int(1)),
+            Form::sub(Form::int(-2), big.clone()),
+            Form::mul(big.clone(), Form::int(2)),
+        ] {
+            assert!(!matches!(folded, Form::Int(_)), "wrapped: {folded:?}");
+        }
     }
 
     #[test]

@@ -39,17 +39,12 @@
 use crate::cc::{Congruence, Implied, TermId};
 use crate::exchange::{BapaExchange, ExchangeBudget, ShapeExchange, TheoryExchange, TheoryResult};
 use crate::{Cancel, GroundConfig, ProverConfig};
-use ipl_bapa::presburger::{id_conjunction_infeasible, IdLinExpr};
+use ipl_bapa::presburger::{id_conjunction_infeasible, IdLinExpr, FM_MAX_CONSTRAINTS};
 use ipl_logic::hashed::Hashed;
 use ipl_logic::normal::nnf;
 use ipl_logic::{Form, Sort, SortEnv};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Constraint-count give-up cap of the Fourier–Motzkin refutation, matching
-/// the cap `fm_unsatisfiable` applies per DNF conjunct so the ground solver
-/// and the Venn decisions give up at the same size.
-const FM_MAX_CONSTRAINTS: usize = 20_000;
 
 /// Base interval (in conflicts) of the Luby restart sequence.
 const RESTART_BASE: u64 = 64;
@@ -829,16 +824,19 @@ impl<'a> Solver<'a> {
         i
     }
 
-    /// Fills a fresh pooled slot with the canonicalised `x - y + shift`.
-    fn arith_diff_into(&mut self, x: &Form, y: &Form, shift: i64) -> usize {
+    /// Fills a fresh pooled slot with the canonicalised `x - y + shift` and
+    /// returns its index.  On overflow the slot is released and the
+    /// constraint dropped, which only weakens the refutation.
+    fn arith_diff_into(&mut self, x: &Form, y: &Form, shift: i64) -> Option<usize> {
         let slot = self.arith_slot();
         let mut out = std::mem::take(&mut self.arith_exprs[slot]);
-        self.lin_into(x, 1, &mut out);
-        self.lin_into(y, -1, &mut out);
-        out.canonicalize();
-        out.shift(shift);
+        let cc = &mut self.cc;
+        let filled = linear_diff_into(x, y, shift, &mut out, &mut |term| cc.intern(term));
         self.arith_exprs[slot] = out;
-        slot
+        if filled.is_none() {
+            self.arith_exprs_len = slot;
+        }
+        filled.map(|()| slot)
     }
 
     /// Appends the `expr <= 0` constraints an atom contributes at a polarity
@@ -862,38 +860,16 @@ impl<'a> Solver<'a> {
                 self.arith_diff_into(&b, &a, 0);
             }
             (AtomKind::IntEq, true) => {
-                let first = self.arith_diff_into(&a, &b, 0);
-                let second = self.arith_slot(); // always > first
-                let (head, tail) = self.arith_exprs.split_at_mut(second);
-                tail[0].clone_from(&head[first]);
-                tail[0].scale(-1);
+                if let Some(first) = self.arith_diff_into(&a, &b, 0) {
+                    let second = self.arith_slot(); // always > first
+                    let (head, tail) = self.arith_exprs.split_at_mut(second);
+                    tail[0].clone_from(&head[first]);
+                    if tail[0].scale(-1).is_none() {
+                        self.arith_exprs_len = second;
+                    }
+                }
             }
             _ => {}
-        }
-    }
-
-    /// Accumulates `k * form` into a linear expression over term ids (the
-    /// caller canonicalises once at the end).  Total: every non-arithmetic
-    /// subterm (including non-linear products) is abstracted by its interned
-    /// id, so linearisation cannot fail.
-    fn lin_into(&mut self, form: &Form, k: i64, out: &mut IdLinExpr) {
-        match form {
-            Form::Int(value) => out.constant += k * value,
-            Form::Add(a, b) => {
-                self.lin_into(a, k, out);
-                self.lin_into(b, k, out);
-            }
-            Form::Sub(a, b) => {
-                self.lin_into(a, k, out);
-                self.lin_into(b, -k, out);
-            }
-            Form::Neg(a) => self.lin_into(a, -k, out),
-            Form::Mul(a, b) => match (a.as_ref(), b.as_ref()) {
-                (Form::Int(c), other) | (other, Form::Int(c)) => self.lin_into(other, k * c, out),
-                // Non-linear multiplication: abstract the whole product.
-                _ => out.push_term(self.cc.intern(form), k),
-            },
-            other => out.push_term(self.cc.intern(other), k),
         }
     }
 
@@ -916,15 +892,21 @@ impl<'a> Solver<'a> {
         while self.rekey_buf.len() < n {
             self.rekey_buf.push(IdLinExpr::default());
         }
+        // Merging classes sums their coefficients; a constraint whose sum
+        // overflows is left out of this check, which only weakens it.
+        let mut kept = 0;
         for i in 0..n {
-            self.rekey_buf[i].clear();
-            self.rekey_buf[i].constant = self.arith_exprs[i].constant;
+            let rekeyed = &mut self.rekey_buf[kept];
+            rekeyed.clear();
+            rekeyed.constant = self.arith_exprs[i].constant;
             for &(id, k) in self.arith_exprs[i].terms() {
-                self.rekey_buf[i].push_term(self.cc.find(id), k);
+                rekeyed.push_term(self.cc.find(id), k);
             }
-            self.rekey_buf[i].canonicalize();
+            if rekeyed.canonicalize().is_some() {
+                kept += 1;
+            }
         }
-        if id_conjunction_infeasible(&self.rekey_buf[..n], FM_MAX_CONSTRAINTS) {
+        if id_conjunction_infeasible(&self.rekey_buf[..kept], FM_MAX_CONSTRAINTS) {
             true
         } else {
             self.arith_memo = Some(state);
@@ -1509,23 +1491,25 @@ fn arith_constraints(literals: &[Form], env: &SortEnv, cc: &mut Congruence) -> V
     let mut constraints: Vec<IdLinExpr> = Vec::new();
     for literal in literals {
         match literal {
-            Form::Le(a, b) => constraints.push(linear_diff(a, b, 0, cc)),
-            Form::Lt(a, b) => constraints.push(linear_diff(a, b, 1, cc)),
+            Form::Le(a, b) => constraints.extend(linear_diff(a, b, 0, cc)),
+            Form::Lt(a, b) => constraints.extend(linear_diff(a, b, 1, cc)),
             Form::Eq(a, b)
                 if env.sort_of(a) == Sort::Int
                     || env.sort_of(b) == Sort::Int
                     || is_arith(a)
                     || is_arith(b) =>
             {
-                let expr = linear_diff(a, b, 0, cc);
-                let mut neg = expr.clone();
-                neg.scale(-1);
-                constraints.push(expr);
-                constraints.push(neg);
+                if let Some(expr) = linear_diff(a, b, 0, cc) {
+                    let mut neg = expr.clone();
+                    constraints.push(expr);
+                    if neg.scale(-1).is_some() {
+                        constraints.push(neg);
+                    }
+                }
             }
             Form::Not(inner) => match inner.as_ref() {
-                Form::Le(a, b) => constraints.push(linear_diff(b, a, 1, cc)),
-                Form::Lt(a, b) => constraints.push(linear_diff(b, a, 0, cc)),
+                Form::Le(a, b) => constraints.extend(linear_diff(b, a, 1, cc)),
+                Form::Lt(a, b) => constraints.extend(linear_diff(b, a, 0, cc)),
                 _ => {}
             },
             _ => {}
@@ -1557,14 +1541,27 @@ pub fn theory_conflict(literals: &[Form], env: &SortEnv) -> bool {
 
 /// Linearises `a - b + shift` into a canonical id-keyed expression, mapping
 /// non-arithmetic sub-terms to their congruence class ids (no string names,
-/// no per-coefficient allocation).
-fn linear_diff(a: &Form, b: &Form, shift: i64, cc: &mut Congruence) -> IdLinExpr {
+/// no per-coefficient allocation).  `None` on overflow.
+fn linear_diff(a: &Form, b: &Form, shift: i64, cc: &mut Congruence) -> Option<IdLinExpr> {
     let mut out = IdLinExpr::default();
-    linearise(a, 1, cc, &mut out);
-    linearise(b, -1, cc, &mut out);
-    out.canonicalize();
-    out.shift(shift);
-    out
+    linear_diff_into(a, b, shift, &mut out, &mut |term| cc.class_of(term))?;
+    Some(out)
+}
+
+/// Accumulates the canonical `a - b + shift` into a cleared expression,
+/// keying every non-arithmetic subterm by `id_of`.  `None` when the
+/// arithmetic overflows `i64`.
+fn linear_diff_into(
+    a: &Form,
+    b: &Form,
+    shift: i64,
+    out: &mut IdLinExpr,
+    id_of: &mut impl FnMut(&Form) -> usize,
+) -> Option<()> {
+    linearise(a, 1, out, id_of)?;
+    linearise(b, -1, out, id_of)?;
+    out.canonicalize()?;
+    out.shift(shift)
 }
 
 fn is_arith(form: &Form) -> bool {
@@ -1574,28 +1571,37 @@ fn is_arith(form: &Form) -> bool {
     )
 }
 
-/// Accumulates `k * form` over congruence-class ids.  Total: every
-/// non-arithmetic subterm (including non-linear products) is abstracted by
-/// its class id, so linearisation cannot fail.
-fn linearise(form: &Form, k: i64, cc: &mut Congruence, out: &mut IdLinExpr) {
+/// Accumulates `k * form` over term ids (the caller canonicalises once at
+/// the end).  Every non-arithmetic subterm (including non-linear products)
+/// is abstracted by its `id_of` id, so linearisation fails only when the
+/// arithmetic overflows.
+fn linearise(
+    form: &Form,
+    k: i64,
+    out: &mut IdLinExpr,
+    id_of: &mut impl FnMut(&Form) -> usize,
+) -> Option<()> {
     match form {
-        Form::Int(value) => out.constant += k * value,
+        Form::Int(value) => out.shift(k.checked_mul(*value)?)?,
         Form::Add(a, b) => {
-            linearise(a, k, cc, out);
-            linearise(b, k, cc, out);
+            linearise(a, k, out, id_of)?;
+            linearise(b, k, out, id_of)?;
         }
         Form::Sub(a, b) => {
-            linearise(a, k, cc, out);
-            linearise(b, -k, cc, out);
+            linearise(a, k, out, id_of)?;
+            linearise(b, k.checked_neg()?, out, id_of)?;
         }
-        Form::Neg(a) => linearise(a, -k, cc, out),
+        Form::Neg(a) => linearise(a, k.checked_neg()?, out, id_of)?,
         Form::Mul(a, b) => match (a.as_ref(), b.as_ref()) {
-            (Form::Int(c), other) | (other, Form::Int(c)) => linearise(other, k * c, cc, out),
+            (Form::Int(c), other) | (other, Form::Int(c)) => {
+                linearise(other, k.checked_mul(*c)?, out, id_of)?
+            }
             // Non-linear multiplication: abstract the whole product.
-            _ => out.push_term(cc.class_of(form), k),
+            _ => out.push_term(id_of(form), k),
         },
-        other => out.push_term(cc.class_of(other), k),
+        other => out.push_term(id_of(other), k),
     }
+    Some(())
 }
 
 // ---------------------------------------------------------------------------

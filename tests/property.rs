@@ -8,7 +8,8 @@
 //! * splitting produces exactly one sequent per non-trivial goal leaf,
 //! * stripping proof constructs really removes every proof construct,
 //! * the two Presburger engines (Fourier–Motzkin refutation and Cooper's
-//!   algorithm) never contradict each other.
+//!   algorithm) never contradict each other, and every Fourier–Motzkin
+//!   witness satisfies its sentence.
 
 use ipl::gcl::cmd::{Ext, Proof, Simple};
 use ipl::gcl::split::split_all;
@@ -20,7 +21,7 @@ use ipl::logic::subst::{free_vars, substitute_one};
 use ipl::logic::Form;
 use ipl_bapa::extract::Extractor;
 use ipl_bapa::incremental::{BapaCheck, IncrementalBapa};
-use ipl_bapa::presburger::{cooper_decide, fm_unsatisfiable, IdLinExpr, PForm};
+use ipl_bapa::presburger::{cooper_decide, fourier_motzkin, FmVerdict, IdLinExpr, PForm};
 use ipl_bapa::venn;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -315,27 +316,43 @@ proptest! {
 
     #[test]
     fn fm_refutation_agrees_with_cooper(
-        coeffs in prop::collection::vec((-3i64..4, -3i64..4, -6i64..7), 1..5)
+        disjuncts in prop::collection::vec(
+            prop::collection::vec((0u8..4, -3i64..4, -3i64..4, -6i64..7), 1..5),
+            1..4,
+        )
     ) {
-        // Random conjunctions  c1*x + c2*y + k <= 0  over x = 0, y = 1.
-        let body = PForm::and(
-            coeffs
+        // Random disjunctions of conjunctions over x = 0, y = 1 of the
+        // literals  c1*x + c2*y + k <= 0  (kinds 0 and 1),
+        // 3 | c1*x + c2*y + k  (kind 2) and its negation (kind 3).
+        let literal = |&(kind, cx, cy, k): &(u8, i64, i64, i64)| {
+            let expr = IdLinExpr::variable(0, cx)
+                .plus(&IdLinExpr::variable(1, cy), 1)
+                .and_then(|e| e.plus(&IdLinExpr::constant(k), 1))
+                .unwrap();
+            match kind {
+                2 => PForm::Divides(3, expr),
+                3 => PForm::not(PForm::Divides(3, expr)),
+                _ => PForm::le(expr),
+            }
+        };
+        let body = PForm::or(
+            disjuncts
                 .iter()
-                .map(|(cx, cy, k)| {
-                    let expr = IdLinExpr::variable(0, *cx)
-                        .plus(&IdLinExpr::variable(1, *cy), 1)
-                        .plus(&IdLinExpr::constant(*k), 1);
-                    PForm::le(expr)
-                })
+                .map(|literals| PForm::and(literals.iter().map(literal).collect()))
                 .collect(),
         );
         let sentence = PForm::Exists(0, Box::new(PForm::Exists(1, Box::new(body.clone()))));
-        let fm_says_unsat = fm_unsatisfiable(&body);
-        if let Some(satisfiable) = cooper_decide(&sentence, None) {
-            if fm_says_unsat {
+        let cooper = cooper_decide(&sentence, None);
+        match fourier_motzkin(&sentence) {
+            FmVerdict::Refuted => {
                 // FM refutation is sound, so Cooper must agree.
-                prop_assert!(!satisfiable, "FM claims unsat but Cooper found a model: {body:?}");
+                prop_assert!(cooper != Some(true), "FM claims unsat but Cooper found a model: {body:?}");
             }
+            FmVerdict::Witness(point) => {
+                prop_assert!(body.eval(&point) == Some(true), "witness {point:?} fails {body:?}");
+                prop_assert!(cooper != Some(false), "FM found a witness but Cooper refutes: {body:?}");
+            }
+            FmVerdict::Open => {}
         }
     }
 }

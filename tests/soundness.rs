@@ -72,3 +72,61 @@ fn pick_witness_side_condition_is_enforced() {
     let text = format!("{:?}", case.obligation);
     assert!(text.contains("q0"), "the goal is exported: {text}");
 }
+
+#[test]
+fn overflowing_arithmetic_does_not_prove_a_false_postcondition() {
+    // Each precondition is satisfiable, so neither postcondition may be
+    // proved.  In the first, eliminating x multiplies `x <= 3` by 2^62 and
+    // 3 * 2^62 overflows i64; a wrapped constant used to make the arithmetic
+    // look contradictory.  In the second, linearising 2^62 * (4 * x) gives
+    // x the coefficient 2^64, which used to wrap to 0.  In the third,
+    // constant folding used to wrap 2^62 * 4 to 0.
+    for (name, requires, ensures) in [
+        (
+            "Elimination",
+            "x <= 3 & 0 <= y & y <= 4611686018427387904 * x",
+            "false",
+        ),
+        (
+            "Linearisation",
+            "1 <= x & y = 4611686018427387904 * (4 * x)",
+            "y = 0",
+        ),
+        ("Folding", "true", "4611686018427387904 * 4 = 0"),
+    ] {
+        let source = format!(
+            r#"
+module {name} {{
+  method wrong(x: int, y: int)
+    requires "{requires}"
+    ensures "{ensures}"
+  {{
+    skip;
+  }}
+}}
+"#
+        );
+        let options = ipl::core::VerifyOptions::default()
+            .with_config(ProverConfig {
+                use_cache: false,
+                ..ProverConfig::default()
+            })
+            .with_jobs(1);
+        let report = ipl::core::Session::new(options)
+            .verify(&ipl::core::Request::new(source))
+            .unwrap()
+            .report;
+        assert_eq!(
+            report.methods_verified(),
+            0,
+            "a satisfiable precondition cannot imply `{ensures}`:\n{}",
+            report.render()
+        );
+        assert_eq!(
+            report.crashed_sequents(),
+            0,
+            "an overflow gives up; it does not panic:\n{}",
+            report.render()
+        );
+    }
+}
